@@ -19,7 +19,6 @@ from .jacobian import (
     JacobianRing,
     NotSmoothError,
     fermat,
-    hilbert_R,
     hodge_level,
     hodge_numbers_prim,
     jacobian_generators,
@@ -35,7 +34,7 @@ from .koszul import (
     middle_exactness,
     sample_bpf_subsystem,
 )
-from .modp import DEFAULT_PRIME, RankProfile, SizeBudgetError, rank_profile
+from .modp import DEFAULT_PRIME, SizeBudgetError
 from .polynomials import Polynomial, dim_graded, monomial_exponents, parse_polynomial
 from .spaces import (
     BpfResult,

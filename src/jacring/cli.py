@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from . import __version__
 from .criteria import (
     CriterionInput,
     CriterionReport,
-    abelian_moduli_dim,
     abelian_sweep_table,
     genus_moduli_dim,
     genus_threshold,
@@ -44,8 +44,8 @@ from .koszul import (
     jacobian_koszul_check,
     sample_bpf_subsystem,
 )
-from .modp import DEFAULT_PRIME, SizeBudgetError, validate_prime
-from .polynomials import Polynomial, PolynomialParseError, parse_polynomial
+from .modp import DEFAULT_PRIME, SizeBudgetError, cell_budget, validate_prime
+from .polynomials import PolynomialParseError, parse_polynomial
 from .spaces import GradedSubspace, bpf_check
 from .yukawa import random_hyperplane_over_jacobian, yukawa_chain
 
@@ -78,10 +78,7 @@ def _prime(args) -> int:
     p = args.prime
     if p is None:
         p = int(os.environ.get("JACRING_PRIME", DEFAULT_PRIME))
-    try:
-        return validate_prime(p)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
+    return validate_prime(p)
 
 
 def _load_form(args, d: int, N: int, p: int, rng) -> Hypersurface:
@@ -95,15 +92,12 @@ def _load_form(args, d: int, N: int, p: int, rng) -> Hypersurface:
         return fermat(d, N, p)
     if args.random_smooth:
         return random_smooth(d, N, p, rng)
-    text = args.f if args.f is not None else open(args.f_file).read()
+    text = args.f if args.f is not None else Path(args.f_file).read_text()
     try:
         poly = parse_polynomial(text, n, p)
     except PolynomialParseError as e:
         raise CliError(f"polynomial parse error: {e}", EXIT_USAGE)
-    try:
-        return Hypersurface(poly, d, N)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
+    return Hypersurface(poly, d, N)
 
 
 def _add_common(sp, form_flags=False):
@@ -261,11 +255,7 @@ def cmd_sweep(args) -> int:
     else:
         if args.N is None or args.r is None or args.C is None:
             raise CliError("explicit mode needs --N, --r and --C", EXIT_USAGE)
-        try:
-            inp = CriterionInput(args.d, args.N, args.r, args.C)
-        except ValueError as e:
-            raise CliError(str(e), EXIT_USAGE)
-        reports = [sweep_criterion(inp)]
+        reports = [sweep_criterion(CriterionInput(args.d, args.N, args.r, args.C))]
     if args.format == "json":
         _emit_json([dict(zip(SWEEP_COLUMNS, _criterion_row(r))) for r in reports])
     else:
@@ -411,6 +401,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        cell_budget()  # reject a malformed JACRING_CELL_BUDGET before any work
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -421,6 +412,9 @@ def main(argv=None) -> int:
     except (NotSmoothError, BpfSamplingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ so dimensions reduce to counting a union of shifted monomial sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,9 +256,17 @@ class JacobianRing:
             raise NotSmoothError(cert.reason or "not certified smooth")
         return int(self.quotient_basis(self.X.socle_degree)[0])
 
-
-def hilbert_R(X: Hypersurface, k: int, budget: int | None = None) -> int:
-    return JacobianRing(X, budget).hilbert(k)
+    def socle_functional(self) -> np.ndarray:
+        """Linear functional on S^sigma computing the socle coordinate."""
+        sigma = self.X.socle_degree
+        idx = self.socle_index()
+        data = self._degree_data(sigma)
+        u = np.zeros(dim_graded(self.X.n, sigma), dtype=np.int64)
+        u[idx] = 1
+        if data.rref is not None and len(data.pivots):
+            # coordinate after reduction: v[idx] - v[pivots] . rref[:, idx]
+            u[data.pivots] = (-data.rref[:, idx]) % self.X.p
+        return u
 
 
 def hodge_numbers_prim(X: Hypersurface, ring: JacobianRing | None = None) -> HodgeVector:

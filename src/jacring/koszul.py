@@ -6,9 +6,15 @@ Two evaluation paths compute the same defect:
 
 * generic: materialize the two differentials as dense matrices and take
   exact ranks over GF(p);
-* monomial: when W is spanned by monomials the differentials preserve the
-  ZZ^n multidegree, so the complex splits into many small blocks.  This is
-  what makes the larger scan grids tractable.
+* monomial: when W is spanned by monomials with exponent rows e_j, the
+  differentials preserve the ZZ^n multidegree, and the strand of
+  multidegree alpha is the augmented chain complex of the simplicial
+  complex Delta_alpha = {T : sum_{j in T} e_j <= alpha} on the generators
+  of W (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1).  The
+  defect is then a sum of ranks of small simplicial boundary matrices.
+  This is what makes the larger scan grids tractable.
+
+Both paths take their signs from one simplex boundary, `_simplex_boundary`.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .jacobian import JacobianRing
+from .jacobian import JacobianRing, NotSmoothError
 from .modp import check_budget, rank_gfp
 from .polynomials import dim_graded, monomial_array, monomial_index
 from .spaces import GradedSubspace, bpf_check, multiplication_matrix
@@ -82,32 +89,41 @@ def _mult_mats(W: GradedSubspace, k: int, ring: JacobianRing | None,
     return mats
 
 
+def _faces(w: int, t: int) -> np.ndarray:
+    """The t-subsets of range(w) in lexicographic order, one per row."""
+    return np.array(list(itertools.combinations(range(w), t)),
+                    dtype=np.int64).reshape(_comb_count(w, t), t)
+
+
+@lru_cache(maxsize=None)
+def _simplex_boundary(w: int, t: int) -> tuple[np.ndarray, ...]:
+    """Nonzeros (target face, source face, dropped vertex, sign) of the
+    boundary from t-subsets to (t-1)-subsets of range(w), faces numbered as
+    in `_faces`: d(T) = sum_pos (-1)^pos (T without T[pos]).  This is the
+    Koszul sign convention of both evaluation paths."""
+    targets = itertools.combinations(range(w), t - 1) if t else ()
+    index = {T: i for i, T in enumerate(targets)}
+    nonzeros = [(index[T[:pos] + T[pos + 1:]], src, j, (-1) ** pos)
+                for src, T in enumerate(itertools.combinations(range(w), t))
+                for pos, j in enumerate(T)]
+    cols = tuple(np.array(c, dtype=np.int64) for c in zip(*nonzeros))
+    for c in cols:
+        c.setflags(write=False)
+    return cols or (np.zeros(0, dtype=np.int64),) * 4
+
+
 def _koszul_delta(mats: list[np.ndarray], w: int, t: int, p: int,
                   budget: int | None) -> np.ndarray:
-    """Differential M^k (x) Λ^t W -> M^(k+N) (x) Λ^(t-1) W with the sign
-    convention delta(m (x) w_{i0}^...^w_{it-1}) = sum_j (-1)^j w_{ij} m (x) (drop j)."""
-    dim_src = mats[0].shape[1] if mats else 0
-    dim_tgt = mats[0].shape[0] if mats else 0
-    Ct = _comb_count(w, t)
-    Ct1 = _comb_count(w, t - 1)
-    rows, cols = dim_tgt * Ct1, dim_src * Ct
+    """Differential M^k (x) Λ^t W -> M^(k+N) (x) Λ^(t-1) W: the simplex
+    boundary on Λ W, with dropping vertex j acting as multiplication by w_j."""
+    dim_tgt, dim_src = mats[0].shape
+    rows, cols = dim_tgt * _comb_count(w, t - 1), dim_src * _comb_count(w, t)
     check_budget(max(rows, 1), max(cols, 1), budget)
-    D = np.zeros((rows, cols), dtype=np.int64)
-    if rows == 0 or cols == 0:
-        return D
-    rank_t1 = {c: i for i, c in enumerate(itertools.combinations(range(w), t - 1))}
-    src_idx = np.arange(dim_src)
-    tgt_idx = np.arange(dim_tgt)
-    for ci, T in enumerate(itertools.combinations(range(w), t)):
-        for pos, j in enumerate(T):
-            sub = T[:pos] + T[pos + 1:]
-            cj = rank_t1[sub]
-            sign = 1 if pos % 2 == 0 else p - 1
-            block = (sign * mats[j]) % p
-            D[np.ix_(tgt_idx * Ct1 + cj, src_idx * Ct + ci)] = (
-                D[np.ix_(tgt_idx * Ct1 + cj, src_idx * Ct + ci)] + block
-            ) % p
-    return D
+    D = np.zeros((dim_tgt, _comb_count(w, t - 1), dim_src, _comb_count(w, t)),
+                 dtype=np.int64)
+    tgt, src, j, sign = _simplex_boundary(w, t)
+    D[:, tgt, :, src] = sign[:, None, None] * np.stack(mats)[j] % p
+    return D.reshape(rows, cols)
 
 
 def koszul_slice(W: GradedSubspace, a: int, s: int,
@@ -118,14 +134,11 @@ def koszul_slice(W: GradedSubspace, a: int, s: int,
         raise ValueError("s must be >= 0")
     if W.dim == 0:
         raise ValueError("W must be nonzero")
-    n, p, N = W.n, W.p, W.degree
-    w = W.dim
+    p, N, w = W.p, W.degree, W.dim
     mats_in = _mult_mats(W, a, ring, budget)
     mats_out = _mult_mats(W, a + N, ring, budget)
     delta_in = _koszul_delta(mats_in, w, s + 1, p, budget)
-    delta_out = _koszul_delta(mats_out, w, s, p, budget) if s >= 1 else np.zeros(
-        (0, _module_dim(a + N, n, ring) * _comb_count(w, s)), dtype=np.int64
-    )
+    delta_out = _koszul_delta(mats_out, w, s, p, budget)
     return KoszulSlice(
         module_kind="R" if ring is not None else "S",
         a=a, s=s, N=N, w=w, delta_in=delta_in, delta_out=delta_out, p=p,
@@ -151,105 +164,33 @@ def report_from_slice(sl: KoszulSlice) -> KoszulReport:
 # -- multidegree fast path ---------------------------------------------------
 
 
-def _term_keys(n: int, k: int, Wexp: np.ndarray, t: int) -> tuple[np.ndarray, list]:
-    """Multidegree key of every basis element of S^k (x) Λ^t W, as a
-    (dim S^k, C(w, t)) int64 array, plus the combination list."""
-    w = Wexp.shape[0]
-    combs = list(itertools.combinations(range(w), t))
-    mono = monomial_array(n, k)
-    powers = (1 << (7 * np.arange(n))).astype(np.int64)  # exponents stay < 128
-    mono_key = mono @ powers
-    comb_key = np.array(
-        [Wexp[list(T)].sum(axis=0) @ powers for T in combs], dtype=np.int64
-    ).reshape(len(combs))
-    return mono_key[:, None] + comb_key[None, :], combs
+def _boundary_matrix(w: int, t: int, p: int) -> np.ndarray:
+    """Dense simplex boundary from t-subsets to (t-1)-subsets of range(w)."""
+    tgt, src, _, sign = _simplex_boundary(w, t)
+    B = np.zeros((_comb_count(w, t - 1), _comb_count(w, t)), dtype=np.int64)
+    B[tgt, src] = sign % p
+    return B
 
 
 def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulReport:
+    """Middle defect as a sum over the multidegrees alpha of the middle term
+    of the simplicial strands Delta_alpha (see the module docstring)."""
     n, p, N = W.n, W.p, W.degree
     w = W.dim
-    Wexp = monomial_array(n, N)[list(W.pivots)]
-    dims = {}
-    for name, k, t in (("L", a, s + 1), ("M", a + N, s), ("R", a + 2 * N, s - 1)):
-        dk = dim_graded(n, k) if k >= 0 else 0
-        dims[name] = dk * _comb_count(w, t)
-    shape_in = (dims["M"], dims["L"])
-    shape_out = (dims["R"], dims["M"])
-    if dims["M"] == 0:
-        return KoszulReport(0, 0, 0, True, shape_in, shape_out)
+    E = monomial_array(n, N)[list(W.pivots)]
+    alphas = monomial_array(n, a + (s + 1) * N)
 
-    keys_M, combs_M = _term_keys(n, a + N, Wexp, s)
-    rank_M = {T: i for i, T in enumerate(combs_M)}
-    mid_pos: dict[tuple[int, int], tuple[int, int]] = {}
-    blocks: dict[int, dict] = {}
-    dM = keys_M.shape[0]
-    for mi in range(dM):
-        for ci in range(len(combs_M)):
-            key = int(keys_M[mi, ci])
-            blk = blocks.setdefault(key, {"nmid": 0, "A": [], "Acols": 0,
-                                          "B": [], "right_local": {}})
-            mid_pos[(mi, ci)] = (key, blk["nmid"])
-            blk["nmid"] += 1
+    def strand_ranks(t: int) -> int:
+        """Sum over alpha of the rank of the boundary on the t-faces of Delta_alpha."""
+        B = _boundary_matrix(w, t, p)
+        fits = (E[_faces(w, t)].sum(1) <= alphas[:, None, :]).all(-1)
+        return sum(rank_gfp(B[:, fit], p) for fit in fits if fit.any() and len(B))
 
-    idx_mid = monomial_index(n, a + N)
-    mono_L = monomial_array(n, a) if a >= 0 else np.zeros((0, n), dtype=np.int64)
-
-    # incoming differential, grouped by multidegree
-    if dims["L"]:
-        combs_L = list(itertools.combinations(range(w), s + 1))
-        for mi in range(mono_L.shape[0]):
-            me = mono_L[mi]
-            for T in combs_L:
-                entries = []
-                for pos, j in enumerate(T):
-                    tgt_m = idx_mid[tuple(int(x) for x in me + Wexp[j])]
-                    tgt_c = rank_M[T[:pos] + T[pos + 1:]]
-                    key, loc = mid_pos[(tgt_m, tgt_c)]
-                    sign = 1 if pos % 2 == 0 else p - 1
-                    entries.append((key, loc, sign))
-                # all targets share one multidegree
-                key = entries[0][0]
-                blk = blocks[key]
-                col = blk["Acols"]
-                blk["Acols"] += 1
-                for _, loc, sign in entries:
-                    blk["A"].append((loc, col, sign))
-
-    # outgoing differential, grouped the same way
-    if dims["R"] and s >= 1:
-        idx_right = monomial_index(n, a + 2 * N)
-        right_keys, combs_R = _term_keys(n, a + 2 * N, Wexp, s - 1)
-        rank_R = {T: i for i, T in enumerate(combs_R)}
-        mono_M = monomial_array(n, a + N)
-        right_pos: dict[tuple[int, int], int] = {}
-        for mi in range(dM):
-            for ci, T in enumerate(combs_M):
-                key, loc = mid_pos[(mi, ci)]
-                blk = blocks[key]
-                me = mono_M[mi]
-                for pos, j in enumerate(T):
-                    tgt = (idx_right[tuple(int(x) for x in me + Wexp[j])],
-                           rank_R[T[:pos] + T[pos + 1:]])
-                    rl = blk["right_local"]
-                    if tgt not in rl:
-                        rl[tgt] = len(rl)
-                    sign = 1 if pos % 2 == 0 else p - 1
-                    blk["B"].append((rl[tgt], loc, sign))
-
-    rank_in = 0
-    rank_out = 0
-    for blk in blocks.values():
-        if blk["A"]:
-            A = np.zeros((blk["nmid"], blk["Acols"]), dtype=np.int64)
-            for r, c, v in blk["A"]:
-                A[r, c] = (A[r, c] + v) % p
-            rank_in += rank_gfp(A, p)
-        if blk["B"]:
-            B = np.zeros((len(blk["right_local"]), blk["nmid"]), dtype=np.int64)
-            for r, c, v in blk["B"]:
-                B[r, c] = (B[r, c] + v) % p
-            rank_out += rank_gfp(B, p)
-    kernel_out = dims["M"] - rank_out
+    dim_mid = _module_dim(a + N, n, None) * _comb_count(w, s)
+    shape_in = (dim_mid, _module_dim(a, n, None) * _comb_count(w, s + 1))
+    shape_out = (_module_dim(a + 2 * N, n, None) * _comb_count(w, s - 1), dim_mid)
+    rank_in = strand_ranks(s + 1)
+    kernel_out = dim_mid - strand_ranks(s)
     defect = kernel_out - rank_in
     return KoszulReport(rank_in, kernel_out, defect, defect == 0,
                         shape_in, shape_out)
@@ -394,7 +335,7 @@ def jacobian_koszul_check(ring: JacobianRing, W: GradedSubspace, p_index: int,
         raise ValueError("W must be a subspace of S^N for this hypersurface")
     cert = ring.smoothness_certificate()
     if not cert.smooth:
-        raise ValueError(f"hypersurface not certified smooth: {cert.reason}")
+        raise NotSmoothError(f"hypersurface not certified smooth: {cert.reason}")
     if not W.contains(ring.jacobian_piece(X.N)):
         raise ValueError("W must contain the degree-N piece of the Jacobian ideal")
     a = -X.d - 2 + X.N * p_index

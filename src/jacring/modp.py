@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_PRIME = 65521
@@ -59,14 +57,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    rank: int
-    kernel_dim: int
-    rows: int
-    cols: int
-
-
 def _as_f64(M: np.ndarray, p: int) -> np.ndarray:
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2:
@@ -112,12 +102,6 @@ def rank_gfp(M: np.ndarray, p: int) -> int:
         return 0
     _, pivots = _echelon(M, p, reduced=False)
     return len(pivots)
-
-
-def rank_profile(M: np.ndarray, p: int) -> RankProfile:
-    rows, cols = np.asarray(M).shape
-    r = rank_gfp(np.asarray(M), p)
-    return RankProfile(rank=r, kernel_dim=cols - r, rows=rows, cols=cols)
 
 
 def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -19,7 +19,6 @@ from .modp import (
 from .polynomials import (
     Polynomial,
     dim_graded,
-    monomial_exponents,
     product_index_table,
 )
 

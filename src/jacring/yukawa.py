@@ -5,11 +5,11 @@ socle image) for Calabi-Yau degree N = d+2."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobian import Hypersurface, JacobianRing, NotSmoothError
+from .jacobian import JacobianRing, NotSmoothError
 from .modp import matmul_gfp, nullspace_gfp, rank_gfp
 from .polynomials import dim_graded, product_index_table
 from .spaces import (
@@ -27,20 +27,6 @@ def _require_smooth(ring: JacobianRing) -> None:
         raise NotSmoothError(cert.reason or "not certified smooth")
 
 
-def socle_functional(ring: JacobianRing) -> np.ndarray:
-    """Linear functional on S^sigma computing the socle coordinate."""
-    sigma = ring.X.socle_degree
-    idx = ring.socle_index()
-    D = dim_graded(ring.X.n, sigma)
-    e = np.zeros((1, D), dtype=np.int64)
-    data = ring._degree_data(sigma)
-    e[0, idx] = 1
-    if data.rref is not None and len(data.pivots):
-        # coordinate after reduction: v[idx] - v[pivots] . rref[:, idx]
-        e[0, data.pivots] = (-data.rref[:, idx]) % ring.X.p
-    return e[0]
-
-
 def socle_pairing_rank(ring: JacobianRing, A: GradedSubspace, B: GradedSubspace) -> int:
     """Rank of the pairing A x B -> R^sigma induced by multiplication and
     projection to the one-dimensional socle."""
@@ -51,7 +37,7 @@ def socle_pairing_rank(ring: JacobianRing, A: GradedSubspace, B: GradedSubspace)
         raise ValueError("degrees must sum to the socle degree")
     if A.dim == 0 or B.dim == 0:
         return 0
-    u = socle_functional(ring)
+    u = ring.socle_functional()
     T = product_index_table(X.n, A.degree, B.degree)
     # P[i, j] = sum_{mu,nu} A[i,mu] B[j,nu] u[mu*nu]
     U = u[T]  # (dim S^a, dim S^(sigma-a))

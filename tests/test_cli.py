@@ -143,6 +143,29 @@ def test_prime_flag_and_env(monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("env, argv, code", [
+    ({}, ["hilbert", "--d", "2", "--N", "3", "--f-file", "/nonexistent/form.txt"], 2),
+    ({}, ["hodge-numbers", "--fermat", "--prime", "2", "--d", "2", "--N", "4"], 2),
+    ({}, ["hilbert", "--d", "-1", "--N", "3", "--fermat"], 2),
+    ({}, ["green-scan", "--n", "2", "--N", "2", "--codim", "x"], 2),
+    ({}, ["sweep", "--d", "3", "--genus", "0", "--find-threshold"], 2),
+    ({}, ["koszul-check", "--d", "1", "--N", "3", "--fermat", "--p-index", "1",
+          "--s", "-1"], 2),
+    ({}, ["bpf-check", "--n", "2", "--N", "2", "--codim", "9"], 2),
+    ({}, ["yukawa-chain", "--d", "0"], 2),
+    ({"JACRING_CELL_BUDGET": "abc"}, ["sweep", "--d", "3", "--abelian"], 2),
+    # a well-formed but singular form is a mathematical failure, not usage
+    ({}, ["koszul-check", "--d", "1", "--N", "3", "--f", "x0^3", "--p-index", "1",
+          "--s", "0"], 1),
+])
+def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run_cli(argv) == (code, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli([])

@@ -10,7 +10,6 @@ from jacring.jacobian import (
     JacobianRing,
     NotSmoothError,
     fermat,
-    hilbert_R,
     hodge_level,
     hodge_numbers_prim,
     jacobian_generators,
@@ -86,9 +85,10 @@ def test_jacobian_piece_dimensions():
 def test_quintic_hilbert_values():
     X = fermat(3, 5, P)
     assert X.socle_degree == 15
-    assert hilbert_R(X, 0) == 1
-    assert hilbert_R(X, 5) == 101
-    assert hilbert_R(X, 16) == 0
+    ring = JacobianRing(X)
+    assert ring.hilbert(0) == 1
+    assert ring.hilbert(5) == 101
+    assert ring.hilbert(16) == 0
 
 
 def test_fermat_hilbert_series_oracle():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import P, random_subspace
-from jacring.jacobian import JacobianRing, fermat, random_smooth
+from conftest import P, P2, random_subspace
+from jacring.jacobian import JacobianRing, NotSmoothError, fermat
 from jacring.koszul import (
     BpfSamplingError,
     green_scan,
@@ -78,19 +78,23 @@ def test_full_system_exact_in_range():
 
 def test_monomial_path_matches_generic():
     rng = np.random.default_rng(23)
-    for _ in range(8):
-        n = int(rng.integers(2, 4))
-        N = int(rng.integers(2, 4))
-        D = dim_graded(n, N)
-        keep = sorted(rng.choice(D, size=int(rng.integers(2, D + 1)), replace=False))
-        W = GradedSubspace.span_of_monomials(keep, n, P, N)
-        a = int(rng.integers(0, 3))
-        s = int(rng.integers(0, 3))
-        fast = middle_exactness(W, a, s)
-        slow = middle_exactness(W, a, s, force_generic=True)
-        assert (fast.rank_in, fast.kernel_out, fast.defect) == \
-               (slow.rank_in, slow.kernel_out, slow.defect)
-        assert fast.shape_in == slow.shape_in and fast.shape_out == slow.shape_out
+    for p in (P, P2, 94906249):  # the last is the largest prime with p^2 < 2^53
+        for _ in range(10):
+            n = int(rng.integers(2, 4))
+            N = int(rng.integers(2, 4))
+            D = dim_graded(n, N)
+            keep = sorted(int(k) for k in
+                          rng.choice(D, size=int(rng.integers(2, D + 1)), replace=False))
+            W = GradedSubspace.span_of_monomials(keep, n, p, N)
+            a = int(rng.integers(-2, 3))
+            s = int(rng.integers(0, 4))
+            fast = middle_exactness(W, a, s)
+            slow = middle_exactness(W, a, s, force_generic=True)
+            case = (n, N, keep, a, s, p)
+            assert (fast.rank_in, fast.kernel_out, fast.defect) == \
+                   (slow.rank_in, slow.kernel_out, slow.defect), case
+            assert fast.shape_in == slow.shape_in, case
+            assert fast.shape_out == slow.shape_out, case
 
 
 def test_defect_nonnegative():
@@ -149,5 +153,5 @@ def test_jacobian_koszul_rejects_singular():
 
     cone = Hypersurface(parse_polynomial("x0^3", 3, P), 1, 3)
     ring = JacobianRing(cone)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotSmoothError):
         jacobian_koszul_check(ring, GradedSubspace.full(3, P, 3), 1, 0)

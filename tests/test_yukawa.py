@@ -4,11 +4,10 @@ import pytest
 from conftest import P
 from jacring.jacobian import JacobianRing, fermat, random_smooth
 from jacring.polynomials import dim_graded
-from jacring.spaces import GradedSubspace, subspace_sum
+from jacring.spaces import GradedSubspace
 from jacring.yukawa import (
     power_span,
     random_hyperplane_over_jacobian,
-    socle_functional,
     socle_pairing_rank,
     yukawa_chain,
     yukawa_nonvanishing,
@@ -24,7 +23,7 @@ def test_socle_degree_identity():
 def test_socle_functional():
     rng = np.random.default_rng(29)
     ring = JacobianRing(random_smooth(2, 4, P, rng))
-    u = socle_functional(ring)
+    u = ring.socle_functional()
     sigma = ring.X.socle_degree
     # u computes the socle coordinate of the reduction map
     eye = np.eye(dim_graded(4, sigma), dtype=np.int64)

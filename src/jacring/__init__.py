@@ -18,6 +18,7 @@ from .jacobian import (
     Hypersurface,
     JacobianRing,
     NotSmoothError,
+    ci_hilbert,
     fermat,
     hodge_level,
     hodge_numbers_prim,

@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .jacobian import (
     Hypersurface,
     JacobianRing,
     NotSmoothError,
+    ci_hilbert,
     fermat,
     hodge_numbers_prim,
     random_smooth,
@@ -44,7 +44,7 @@ from .koszul import (
     jacobian_koszul_check,
     sample_bpf_subsystem,
 )
-from .modp import DEFAULT_PRIME, SizeBudgetError, cell_budget, validate_prime
+from .modp import DEFAULT_PRIME, SizeBudgetError, _env_int, cell_budget, validate_prime
 from .polynomials import PolynomialParseError, parse_polynomial
 from .spaces import GradedSubspace, bpf_check
 from .yukawa import random_hyperplane_over_jacobian, yukawa_chain
@@ -77,11 +77,12 @@ def _emit_csv(columns, rows) -> None:
 def _prime(args) -> int:
     p = args.prime
     if p is None:
-        p = int(os.environ.get("JACRING_PRIME", DEFAULT_PRIME))
+        p = _env_int("JACRING_PRIME", DEFAULT_PRIME)
     return validate_prime(p)
 
 
-def _load_form(args, d: int, N: int, p: int, rng) -> Hypersurface:
+def _load_form(args, d: int, N: int, p: int, rng) -> JacobianRing:
+    """The Jacobian ring of the form chosen by the form flags."""
     n = d + 2
     sources = [args.fermat, args.f is not None,
                getattr(args, "f_file", None) is not None, args.random_smooth]
@@ -89,7 +90,7 @@ def _load_form(args, d: int, N: int, p: int, rng) -> Hypersurface:
         raise CliError("choose exactly one of --fermat, --f, --f-file, "
                        "--random-smooth", EXIT_USAGE)
     if args.fermat:
-        return fermat(d, N, p)
+        return JacobianRing(fermat(d, N, p))
     if args.random_smooth:
         return random_smooth(d, N, p, rng)
     text = args.f if args.f is not None else Path(args.f_file).read_text()
@@ -97,7 +98,7 @@ def _load_form(args, d: int, N: int, p: int, rng) -> Hypersurface:
         poly = parse_polynomial(text, n, p)
     except PolynomialParseError as e:
         raise CliError(f"polynomial parse error: {e}", EXIT_USAGE)
-    return Hypersurface(poly, d, N)
+    return JacobianRing(Hypersurface(poly, d, N))
 
 
 def _add_common(sp, form_flags=False):
@@ -118,7 +119,10 @@ def _add_common(sp, form_flags=False):
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(text)]
 
 
@@ -128,15 +132,16 @@ def _parse_range(text: str) -> list[int]:
 def cmd_hodge_numbers(args) -> int:
     p = _prime(args)
     rng = np.random.default_rng(args.seed)
-    X = _load_form(args, args.d, args.N, p, rng)
-    ring = JacobianRing(X)
+    ring = _load_form(args, args.d, args.N, p, rng)
+    X = ring.X
     cert = ring.smoothness_certificate()
     sigma = X.socle_degree
     out = {
         "d": X.d,
         "N": X.N,
         "sigma": sigma,
-        "hilbert": [ring.hilbert(k) for k in range(sigma + 2)] if cert.smooth else None,
+        "hilbert": ([ci_hilbert(X.n, X.N, k) for k in range(sigma + 2)]
+                    if cert.smooth else None),
         "hodge": None,
         "smooth": cert.smooth,
         "prime": p,
@@ -154,8 +159,8 @@ def cmd_hodge_numbers(args) -> int:
 def cmd_hilbert(args) -> int:
     p = _prime(args)
     rng = np.random.default_rng(args.seed)
-    X = _load_form(args, args.d, args.N, p, rng)
-    ring = JacobianRing(X)
+    ring = _load_form(args, args.d, args.N, p, rng)
+    X = ring.X
     if args.k is not None:
         ks = [args.k]
     else:
@@ -196,8 +201,8 @@ def cmd_green_scan(args) -> int:
 def cmd_koszul_check(args) -> int:
     p = _prime(args)
     rng = np.random.default_rng(args.seed)
-    X = _load_form(args, args.d, args.N, p, rng)
-    ring = JacobianRing(X)
+    ring = _load_form(args, args.d, args.N, p, rng)
+    X = ring.X
     n = X.n
     if args.codim == 0:
         W = GradedSubspace.full(n, p, X.N)
@@ -269,8 +274,8 @@ def cmd_yukawa_chain(args) -> int:
         raise CliError(f"d={args.d} needs --allow-large (matrix sizes grow "
                        "quickly)", EXIT_USAGE)
     rng = np.random.default_rng(args.seed)
-    X = random_smooth(args.d, args.d + 2, p, rng)
-    ring = JacobianRing(X)
+    ring = random_smooth(args.d, args.d + 2, p, rng)
+    X = ring.X
     if args.k_equals_jacobian:
         from .yukawa import yukawa_nonvanishing
         K = ring.jacobian_piece(X.N)

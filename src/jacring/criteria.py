@@ -87,6 +87,8 @@ def abelian_moduli_dim(r: int) -> int:
 def abelian_sweep_table(d: int) -> list[CriterionReport]:
     """Calabi-Yau degree N = d+2 against r-dimensional abelian families,
     whose moduli have dimension r(r+1)/2, for r = 1..d."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     return [
         sweep_criterion(CriterionInput(d=d, N=d + 2, r=r, C=abelian_moduli_dim(r)))
         for r in range(1, d + 1)

@@ -1,6 +1,12 @@
 """Jacobian ideals and rings of degree-N forms in n = d+2 variables,
-smoothness certification through the Artinian-Gorenstein socle test, and
-primitive Hodge numbers via the residue identification.
+smoothness certification through one rank of J^(sigma+1), and primitive
+Hodge numbers via the residue identification.
+
+A form is certified smooth when J^(sigma+1) = S^(sigma+1).  The Jacobian
+ideal is then Artinian, its n partials form a regular sequence, and R has
+the complete-intersection Hilbert series ((1 - t^(N-1)) / (1 - t))^n, so
+dim R^sigma = 1 follows and a certified ring's dimensions are read off
+that series (`ci_hilbert`).
 
 Forms whose partial derivatives are all monomials (Fermat, notably) take a
 combinatorial path: the degree-k piece of the ideal is a span of monomials,
@@ -9,11 +15,12 @@ so dimensions reduce to counting a union of shifted monomial sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .modp import check_budget, matmul_gfp, rref_gfp
+from .modp import check_budget, matmul_gfp, rank_gfp, rref_gfp
 from .polynomials import (
     Polynomial,
     dim_graded,
@@ -79,17 +86,16 @@ def random_smooth(
     rng: np.random.Generator,
     sparse_terms: int = 4,
     max_tries: int = 60,
-) -> Hypersurface:
-    """Fermat plus a random sparse perturbation, retried until the socle
-    certificate passes."""
-    n = d + 2
+) -> JacobianRing:
+    """Fermat plus a random sparse perturbation, retried until the smoothness
+    certificate passes.  Returns the certified ring; the form is `ring.X`."""
+    if N < 2:
+        raise ValueError(f"need N >= 2 for a smooth form, got N={N}")
+    base = fermat(d, N, p)  # rejects d < 0 and a modulus dividing N(N-1)
+    n = base.n
     monos = monomial_exponents(n, N)
     for _ in range(max_tries):
-        terms = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = N
-            terms[tuple(e)] = 1
+        terms = dict(base.f.terms)
         for _ in range(sparse_terms):
             m = monos[int(rng.integers(len(monos)))]
             terms[m] = (terms.get(m, 0) + int(rng.integers(1, p))) % p
@@ -97,9 +103,17 @@ def random_smooth(
             X = Hypersurface(Polynomial(n, p, terms), d, N)
         except ValueError:
             continue
-        if JacobianRing(X).smoothness_certificate().smooth:
-            return X
-    raise RuntimeError(f"no smooth form found in {max_tries} tries at (d={d}, N={N})")
+        ring = JacobianRing(X)
+        if ring.smoothness_certificate().smooth:
+            return ring
+    raise NotSmoothError(f"no smooth form found in {max_tries} tries at (d={d}, N={N})")
+
+
+def ci_hilbert(n: int, N: int, k: int) -> int:
+    """Coefficient of t^k in ((1 - t^(N-1)) / (1 - t))^n: dim R^k for the
+    Jacobian ring of a certified smooth degree-N form in n variables."""
+    return sum((-1) ** j * math.comb(n, j) * dim_graded(n, k - j * (N - 1))
+               for j in range(n + 1))
 
 
 def jacobian_generators(X: Hypersurface) -> list[Polynomial]:
@@ -156,14 +170,33 @@ class JacobianRing:
             raise ValueError("all partial derivatives vanish")
         self.monomial_path = all(g.is_monomial() for g in self.partials)
         self._cache: dict[int, _DegreeData] = {}
+        self._certificate: SmoothnessCertificate | None = None
 
     # -- degree pieces -------------------------------------------------------
+
+    def _jacobian_rows(self, k: int) -> np.ndarray:
+        """Rows spanning J^k in S^k: each partial times each monomial of
+        degree k - (N-1)."""
+        n, N = self.X.n, self.X.N
+        mons = monomial_exponents(n, k - (N - 1))
+        rows_count = len(mons) * len(self.partials)
+        D = dim_graded(n, k)
+        check_budget(rows_count, D, self.budget)
+        rows = np.zeros((rows_count, D), dtype=np.int64)
+        r = 0
+        idx = monomial_index(n, k)
+        for g in self.partials:
+            for m in mons:
+                for gm, c in g.terms.items():
+                    rows[r, idx[tuple(x + y for x, y in zip(m, gm))]] = c
+                r += 1
+        return rows
 
     def _degree_data(self, k: int) -> _DegreeData:
         if k in self._cache:
             return self._cache[k]
         X = self.X
-        n, p, N = X.n, X.p, X.N
+        n, N = X.n, X.N
         D = dim_graded(n, k)
         if k < N - 1:
             data = _DegreeData(
@@ -183,18 +216,7 @@ class JacobianRing:
             mask[piv] = False
             data = _DegreeData(piv, np.nonzero(mask)[0].astype(np.int64), None)
         else:
-            mons = monomial_exponents(n, k - (N - 1))
-            rows_count = len(mons) * len(self.partials)
-            check_budget(rows_count, D, self.budget)
-            rows = np.zeros((rows_count, D), dtype=np.int64)
-            r = 0
-            idx = monomial_index(n, k)
-            for g in self.partials:
-                for m in mons:
-                    for gm, c in g.terms.items():
-                        rows[r, idx[tuple(x + y for x, y in zip(m, gm))]] = c
-                    r += 1
-            R, piv = rref_gfp(rows, p)
+            R, piv = rref_gfp(self._jacobian_rows(k), X.p)
             piv = np.array(piv, dtype=np.int64)
             mask = np.ones(D, dtype=bool)
             mask[piv] = False
@@ -238,16 +260,28 @@ class JacobianRing:
     # -- certification and Hodge data ---------------------------------------
 
     def smoothness_certificate(self) -> SmoothnessCertificate:
+        """Smooth iff J^(sigma+1) = S^(sigma+1), decided by one rank (or, on
+        the monomial path, by counting) and kept on the ring."""
+        if self._certificate is None:
+            self._certificate = self._certify()
+        return self._certificate
+
+    def _certify(self) -> SmoothnessCertificate:
         sigma = self.X.socle_degree
         if sigma < 0:
             return SmoothnessCertificate(False, "socle degree negative (N < 2)")
+        if self.monomial_path:
+            above = self.hilbert(sigma + 1)
+        else:
+            rows = self._jacobian_rows(sigma + 1)
+            above = rows.shape[1] - rank_gfp(rows, self.X.p)
+        if above == 0:
+            return SmoothnessCertificate(True)
+        # not Artinian: eliminate at sigma only to word the reason
         top = self.hilbert(sigma)
         if top != 1:
             return SmoothnessCertificate(False, f"dim R^sigma = {top}, expected 1")
-        above = self.hilbert(sigma + 1)
-        if above != 0:
-            return SmoothnessCertificate(False, f"dim R^(sigma+1) = {above}, expected 0")
-        return SmoothnessCertificate(True)
+        return SmoothnessCertificate(False, f"dim R^(sigma+1) = {above}, expected 0")
 
     def socle_index(self) -> int:
         """Monomial index of the 1-dimensional socle basis of R^sigma."""
@@ -270,13 +304,14 @@ class JacobianRing:
 
 
 def hodge_numbers_prim(X: Hypersurface, ring: JacobianRing | None = None) -> HodgeVector:
-    """Primitive Hodge numbers h^(d-p,p) = dim R^(N(p+1)-d-2) for p = 0..d."""
+    """Primitive Hodge numbers h^(d-p,p) = dim R^(N(p+1)-d-2) for p = 0..d,
+    read off the complete-intersection series once the form is certified."""
     ring = ring or JacobianRing(X)
     cert = ring.smoothness_certificate()
     if not cert.smooth:
         raise NotSmoothError(cert.reason or "not certified smooth")
     entries = []
     for p in range(X.d + 1):
-        h = ring.hilbert(X.N * (p + 1) - X.d - 2)
+        h = ci_hilbert(X.n, X.N, X.N * (p + 1) - X.d - 2)
         entries.append((X.d - p, p, h))
     return HodgeVector(weight=X.d, entries=tuple(entries))

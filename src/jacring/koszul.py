@@ -292,6 +292,9 @@ def green_scan(n: int, N: int, codims, a_max: int, s_max: int, trials: int,
                budget: int | None = None) -> list[GreenCell]:
     """Evaluate middle exactness over the (a, s) grid for `trials` certified
     base-point-free subsystems of each listed codimension."""
+    if trials < 1 or a_max < 0 or s_max < 0:
+        raise ValueError(f"need trials >= 1, a_max >= 0 and s_max >= 0, got "
+                         f"{trials}, {a_max} and {s_max}")
     cells = []
     for c in codims:
         if style == "auto":

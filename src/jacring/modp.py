@@ -21,8 +21,19 @@ class SizeBudgetError(RuntimeError):
     """A requested matrix would exceed the configured cell budget."""
 
 
+def _env_int(name: str, default: int) -> int:
+    """Integer value of environment variable `name`, or `default` if unset."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def cell_budget() -> int:
-    return int(os.environ.get("JACRING_CELL_BUDGET", DEFAULT_CELL_BUDGET))
+    return _env_int("JACRING_CELL_BUDGET", DEFAULT_CELL_BUDGET)
 
 
 def check_budget(rows: int, cols: int, budget: int | None = None) -> None:
@@ -58,10 +69,12 @@ def inv_mod(a: int, p: int) -> int:
 
 
 def _as_f64(M: np.ndarray, p: int) -> np.ndarray:
-    A = np.asarray(M, dtype=np.float64)
+    # one fresh copy, reduced in place: a second temporary of the size of M
+    # fragments the heap and raises peak memory on large Jacobian pieces
+    A = np.array(M, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    return A % p
+    return np.remainder(A, p, out=A)
 
 
 def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:

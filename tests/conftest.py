@@ -9,6 +9,7 @@ from jacring.cli import main
 
 P = 65521
 P2 = 32003
+P_MAX = 94906249  # largest prime with p^2 < 2^53
 
 
 def run_cli(argv):

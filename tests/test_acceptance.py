@@ -129,7 +129,7 @@ def test_acceptance_4_delta_squared_zero(verdict):
                 break
         a = int(rng.integers(-1, 4))
         s = int(rng.integers(0, 3))
-        ring = JacobianRing(random_smooth(n - 2, N, P, rng)) if use_ring else None
+        ring = random_smooth(n - 2, N, P, rng) if use_ring else None
         sl = koszul_slice(W, a, s, ring=ring)
         assert not matmul_gfp(sl.delta_out, sl.delta_in, P).any(), (n, N, a, s)
         checked[sl.module_kind] += 1
@@ -147,7 +147,7 @@ def test_acceptance_5_gorenstein_suite(verdict):
     bad = []
     for n, N in [(3, 4), (3, 5), (4, 4)]:
         for _ in range(7):
-            ring = JacobianRing(random_smooth(n - 2, N, P, rng))
+            ring = random_smooth(n - 2, N, P, rng)
             sigma = ring.X.socle_degree
             dims = [ring.hilbert(k) for k in range(sigma + 2)]
             if dims[sigma] != 1 or dims[sigma + 1] != 0:
@@ -235,7 +235,7 @@ def test_acceptance_7_yukawa_chain(verdict):
     failures = []
     for seed in range(10):
         rng = np.random.default_rng(70 + seed)
-        ring = JacobianRing(random_smooth(2, 4, P, rng))
+        ring = random_smooth(2, 4, P, rng)
         K = random_hyperplane_over_jacobian(ring, rng)
         rep = yukawa_chain(ring, K)
         if not rep.all_ok:

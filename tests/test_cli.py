@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +158,11 @@ def test_prime_flag_and_env(monkeypatch):
     # a well-formed but singular form is a mathematical failure, not usage
     ({}, ["koszul-check", "--d", "1", "--N", "3", "--f", "x0^3", "--p-index", "1",
           "--s", "0"], 1),
+    ({}, ["hodge-numbers", "--d", "1", "--N", "1", "--random-smooth"], 2),
+    ({}, ["sweep", "--d", "-2", "--abelian"], 2),
+    ({}, ["green-scan", "--n", "2", "--N", "2", "--codim", "2..0"], 2),
+    ({}, ["green-scan", "--n", "2", "--N", "2", "--trials", "-1"], 2),
+    ({}, ["green-scan", "--n", "2", "--N", "2", "--amax", "-1"], 2),
 ])
 def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
     for key, value in env.items():
@@ -164,6 +170,13 @@ def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
     assert run_cli(argv) == (code, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["JACRING_PRIME", "JACRING_CELL_BUDGET"])
+def test_malformed_setting_is_named(monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "abc")
+    assert run_cli(["hilbert", "--d", "1", "--N", "3", "--fermat"]) == (2, "")
+    assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
 
 
 def test_missing_subcommand_is_usage_error():
@@ -184,3 +197,13 @@ def test_determinism_byte_identical():
         code2, out2 = run_cli(argv)
         assert (code1, out1) == (code2, out2)
         assert out1
+
+
+def test_acceptance8_outputs_match_goldens():
+    # stdout and exit code of the acceptance-8 commands at 65521 and 32003;
+    # a change that alters any of them re-records the file on purpose
+    goldens = json.loads((Path(__file__).parent / "goldens" / "acceptance8-cli.json")
+                         .read_text())
+    assert len(goldens) == 10
+    for rec in goldens:
+        assert run_cli(rec["argv"]) == (rec["exit_code"], rec["stdout"]), rec["argv"]

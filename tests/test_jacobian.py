@@ -3,19 +3,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import P
+from conftest import P, P2, P_MAX
 from jacring.jacobian import (
     HodgeVector,
     Hypersurface,
     JacobianRing,
     NotSmoothError,
+    ci_hilbert,
     fermat,
     hodge_level,
     hodge_numbers_prim,
     jacobian_generators,
     random_smooth,
 )
-from jacring.polynomials import Polynomial, dim_graded, parse_polynomial
+from jacring.polynomials import Polynomial, dim_graded, monomial_exponents, parse_polynomial
 
 
 def fermat_series(d, N, kmax):
@@ -99,7 +100,7 @@ def test_fermat_hilbert_series_oracle():
             sigma = X.socle_degree
             series = fermat_series(d, N, sigma + 1)
             for k in range(sigma + 2):
-                assert ring.hilbert(k) == series[k]
+                assert ring.hilbert(k) == series[k] == ci_hilbert(d + 2, N, k)
 
 
 def test_generic_path_matches_monomial_path():
@@ -109,7 +110,7 @@ def test_generic_path_matches_monomial_path():
     rng = np.random.default_rng(17)
     d, N = 1, 4
     fer = JacobianRing(fermat(d, N, P))
-    pert = JacobianRing(random_smooth(d, N, P, rng))
+    pert = random_smooth(d, N, P, rng)
     assert not pert.monomial_path or pert.X.f == fer.X.f
     for k in range(fer.X.socle_degree + 2):
         assert fer.hilbert(k) == pert.hilbert(k)
@@ -147,7 +148,7 @@ def test_smoothness_agrees_with_rational_oracle():
 
 def test_reduce():
     rng = np.random.default_rng(18)
-    ring = JacobianRing(random_smooth(2, 4, P, rng))
+    ring = random_smooth(2, 4, P, rng)
     k = 5
     J = ring.jacobian_piece(k)
     assert not ring.reduce(J.basis, k).any()
@@ -159,7 +160,7 @@ def test_reduce():
 
 def test_gorenstein_symmetry_light():
     rng = np.random.default_rng(19)
-    ring = JacobianRing(random_smooth(1, 5, P, rng))
+    ring = random_smooth(1, 5, P, rng)
     sigma = ring.X.socle_degree
     dims = [ring.hilbert(k) for k in range(sigma + 1)]
     assert dims == dims[::-1]
@@ -213,5 +214,59 @@ def test_hodge_level_bounds():
 def test_random_smooth_reproducible():
     a = random_smooth(1, 4, P, np.random.default_rng(21))
     b = random_smooth(1, 4, P, np.random.default_rng(21))
-    assert a.f == b.f
-    assert JacobianRing(a).smoothness_certificate().smooth
+    assert a.X.f == b.X.f
+    assert a.smoothness_certificate().smooth
+    assert JacobianRing(a.X).smoothness_certificate().smooth
+
+
+def test_random_smooth_rejects_and_gives_up():
+    rng = np.random.default_rng(22)
+    with pytest.raises(ValueError):
+        random_smooth(1, 1, P, rng)  # no smooth form of degree 1 exists
+    with pytest.raises(ValueError):
+        random_smooth(1, 3, 3, rng)  # p divides N
+    with pytest.raises(NotSmoothError):
+        random_smooth(1, 3, P, rng, max_tries=0)
+
+
+def _eliminated_certificate(X):
+    """The socle test by elimination alone on a fresh ring: smooth iff
+    dim R^sigma = 1 and dim R^(sigma+1) = 0, with the certificate's reasons."""
+    ring = JacobianRing(X)
+    sigma = X.socle_degree
+    top, above = ring.hilbert(sigma), ring.hilbert(sigma + 1)
+    if top != 1:
+        return False, f"dim R^sigma = {top}, expected 1"
+    if above != 0:
+        return False, f"dim R^(sigma+1) = {above}, expected 0"
+    return True, None
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_certificate_matches_elimination(p):
+    # Fermat plus sparse terms (mostly smooth) and bare sparse forms (mostly
+    # singular); certified forms must have the complete-intersection series
+    verdicts = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, N = [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3)][seed % 6]
+        terms = {}
+        if seed % 2 == 0:
+            terms = {tuple(N if j == i else 0 for j in range(n)): 1 for i in range(n)}
+        monos = monomial_exponents(n, N)
+        for _ in range(int(rng.integers(1, 2 * n))):
+            m = monos[int(rng.integers(len(monos)))]
+            terms[m] = (terms.get(m, 0) + int(rng.integers(1, p))) % p
+        f = Polynomial(n, p, terms)
+        if f.is_zero():
+            continue
+        X = Hypersurface(f, n - 2, N)
+        cert = JacobianRing(X).smoothness_certificate()
+        expected = _eliminated_certificate(X)
+        assert (cert.smooth, cert.reason) == expected, (seed, p, str(f))
+        verdicts.append(cert.smooth)
+        if cert.smooth:
+            fresh = JacobianRing(X)
+            for k in range(X.socle_degree + 3):
+                assert ci_hilbert(n, N, k) == fresh.hilbert(k), (seed, p, k, str(f))
+    assert any(verdicts) and not all(verdicts)

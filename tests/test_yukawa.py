@@ -22,7 +22,7 @@ def test_socle_degree_identity():
 
 def test_socle_functional():
     rng = np.random.default_rng(29)
-    ring = JacobianRing(random_smooth(2, 4, P, rng))
+    ring = random_smooth(2, 4, P, rng)
     u = ring.socle_functional()
     sigma = ring.X.socle_degree
     # u computes the socle coordinate of the reduction map
@@ -34,7 +34,7 @@ def test_socle_functional():
 def test_pairing_perfect_on_full_pieces():
     rng = np.random.default_rng(30)
     for _ in range(5):
-        ring = JacobianRing(random_smooth(2, 4, P, rng))
+        ring = random_smooth(2, 4, P, rng)
         sigma = ring.X.socle_degree
         for a in range(sigma + 1):
             A = GradedSubspace.full(4, P, a)
@@ -44,7 +44,7 @@ def test_pairing_perfect_on_full_pieces():
 
 def test_pairing_degenerate_cases():
     rng = np.random.default_rng(31)
-    ring = JacobianRing(random_smooth(2, 4, P, rng))
+    ring = random_smooth(2, 4, P, rng)
     sigma = ring.X.socle_degree
     a = 4
     J = ring.jacobian_piece(a)
@@ -68,7 +68,7 @@ def test_nonvanishing_cases():
 
 def test_nonvanishing_monotone():
     rng = np.random.default_rng(32)
-    ring = JacobianRing(random_smooth(2, 4, P, rng))
+    ring = random_smooth(2, 4, P, rng)
     K1 = random_hyperplane_over_jacobian(ring, rng)
     K2 = GradedSubspace.full(4, P, 4)
     assert K2.contains(K1)
@@ -78,7 +78,7 @@ def test_nonvanishing_monotone():
 
 def test_random_hyperplane():
     rng = np.random.default_rng(33)
-    ring = JacobianRing(random_smooth(2, 4, P, rng))
+    ring = random_smooth(2, 4, P, rng)
     K = random_hyperplane_over_jacobian(ring, rng)
     assert K.codim == 1 and K.degree == 4
     assert K.contains(ring.jacobian_piece(4))
@@ -86,7 +86,7 @@ def test_random_hyperplane():
 
 def test_chain_single_instance():
     rng = np.random.default_rng(34)
-    ring = JacobianRing(random_smooth(2, 4, P, rng))
+    ring = random_smooth(2, 4, P, rng)
     K = random_hyperplane_over_jacobian(ring, rng)
     rep = yukawa_chain(ring, K)
     assert rep.all_ok

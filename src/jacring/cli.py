@@ -382,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("yukawa-chain", help="hyperplane chain for Calabi-Yau "
                         "degree N = d+2")
-    sp.add_argument("--d", type=int, default=2)
+    sp.add_argument("--d", type=int, default=2,
+                    help="fiber dimension, d >= 2 for the chain (N = d+2)")
     sp.add_argument("--k-equals-jacobian", action="store_true",
                     help="use the degenerate K = J^(d+2) (socle image vanishes)")
     sp.add_argument("--allow-large", action="store_true")

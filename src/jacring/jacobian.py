@@ -24,11 +24,11 @@ from .modp import check_budget, matmul_gfp, rank_gfp, rref_gfp
 from .polynomials import (
     Polynomial,
     dim_graded,
-    monomial_array,
     monomial_exponents,
     monomial_index,
+    product_index_table,
 )
-from .spaces import GradedSubspace
+from .spaces import GradedSubspace, multiplication_matrix
 
 
 class NotSmoothError(ValueError):
@@ -177,20 +177,9 @@ class JacobianRing:
     def _jacobian_rows(self, k: int) -> np.ndarray:
         """Rows spanning J^k in S^k: each partial times each monomial of
         degree k - (N-1)."""
-        n, N = self.X.n, self.X.N
-        mons = monomial_exponents(n, k - (N - 1))
-        rows_count = len(mons) * len(self.partials)
-        D = dim_graded(n, k)
-        check_budget(rows_count, D, self.budget)
-        rows = np.zeros((rows_count, D), dtype=np.int64)
-        r = 0
-        idx = monomial_index(n, k)
-        for g in self.partials:
-            for m in mons:
-                for gm, c in g.terms.items():
-                    rows[r, idx[tuple(x + y for x, y in zip(m, gm))]] = c
-                r += 1
-        return rows
+        n, a = self.X.n, k - (self.X.N - 1)
+        check_budget(dim_graded(n, a) * len(self.partials), dim_graded(n, k), self.budget)
+        return np.vstack([multiplication_matrix(g, a).T for g in self.partials])
 
     def _degree_data(self, k: int) -> _DegreeData:
         if k in self._cache:
@@ -203,15 +192,9 @@ class JacobianRing:
                 np.zeros(0, dtype=np.int64), np.arange(D, dtype=np.int64), None
             )
         elif self.monomial_path:
-            idx = monomial_index(n, k)
-            shift = monomial_array(n, k - (N - 1))
-            hit: set[int] = set()
-            for g in self.partials:
-                (ge,) = g.terms.keys()
-                ge = np.array(ge, dtype=np.int64)
-                for row in shift + ge:
-                    hit.add(idx[tuple(int(x) for x in row)])
-            piv = np.array(sorted(hit), dtype=np.int64)
+            idx = monomial_index(n, N - 1)
+            leads = [idx[m] for g in self.partials for m in g.terms]
+            piv = np.unique(product_index_table(n, k - (N - 1), N - 1)[:, leads])
             mask = np.ones(D, dtype=bool)
             mask[piv] = False
             data = _DegreeData(piv, np.nonzero(mask)[0].astype(np.int64), None)

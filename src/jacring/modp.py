@@ -7,6 +7,7 @@ in float64, which is exact as long as p**2 < 2**53; the default modulus
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import numpy as np
@@ -127,19 +128,16 @@ def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def nullspace_gfp(M: np.ndarray, p: int) -> np.ndarray:
-    """Row basis of the right kernel {x : M x = 0}, in RREF."""
+    """Row basis of the right kernel {x : M x = 0}, in RREF.
+
+    Row operations on [M^T | I] keep each row of the form [(M x)^T | x^T],
+    so the rows of its RREF whose pivot lies in the identity half are the
+    RREF of the kernel."""
     A = np.asarray(M)
-    cols = A.shape[1]
-    R, pivots = rref_gfp(A, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    N = np.zeros((len(free), cols), dtype=np.int64)
-    for row, f in enumerate(free):
-        N[row, f] = 1
-        for i, pc in enumerate(pivots):
-            N[row, pc] = (-int(R[i, f])) % p
-    # reverse so leading entries appear in increasing column order
-    R2, _ = rref_gfp(N, p)
-    return R2
+    rows, cols = A.shape
+    R, pivots = rref_gfp(np.hstack([A.T, np.eye(cols, dtype=np.int64)]), p)
+    rank = bisect.bisect_left(pivots, rows)
+    return R[rank:, rows:]
 
 
 def matmul_gfp(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

@@ -69,10 +69,6 @@ def product_index_table(n: int, a: int, b: int) -> np.ndarray:
     return T
 
 
-def monomial_degree(m: tuple[int, ...]) -> int:
-    return sum(m)
-
-
 class Polynomial:
     """Sparse polynomial with coefficients in GF(p); zero terms are dropped."""
 

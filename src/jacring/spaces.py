@@ -19,6 +19,7 @@ from .modp import (
 from .polynomials import (
     Polynomial,
     dim_graded,
+    monomial_index,
     product_index_table,
 )
 
@@ -155,20 +156,21 @@ def subspace_intersection(A: GradedSubspace, B: GradedSubspace) -> GradedSubspac
 
 def multiplication_matrix(g: Polynomial, a: int) -> np.ndarray:
     """Matrix of multiplication by homogeneous g as a map S^a -> S^(a+deg g),
-    columns indexed by the basis of S^a."""
+    columns indexed by the basis of S^a.  It is the transpose of a C-ordered
+    array whose row i is g times monomial i of S^a, so `.T` gives product
+    rows ready for elimination."""
     if not g.is_homogeneous() or g.is_zero():
         raise ValueError("need a nonzero homogeneous polynomial")
     b = g.degree()
-    n, p = g.n, g.p
+    n = g.n
     T = product_index_table(n, a, b)
-    from .polynomials import monomial_index
-
     idx_b = monomial_index(n, b)
-    M = np.zeros((dim_graded(n, a + b), dim_graded(n, a)), dtype=np.int64)
-    cols = np.arange(dim_graded(n, a))
-    for m, c in g.terms.items():
-        M[T[:, idx_b[m]], cols] = (M[T[:, idx_b[m]], cols] + c) % p
-    return M
+    terms = [idx_b[m] for m in g.terms]
+    rows = np.zeros((dim_graded(n, a), dim_graded(n, a + b)), dtype=np.int64)
+    # distinct terms of g times one monomial are distinct monomials, so no
+    # cell is written twice
+    rows[np.arange(len(T))[:, None], T[:, terms]] = list(g.terms.values())
+    return rows.T
 
 
 def product_span(A: GradedSubspace, B: GradedSubspace, budget: int | None = None) -> GradedSubspace:
@@ -177,29 +179,16 @@ def product_span(A: GradedSubspace, B: GradedSubspace, budget: int | None = None
         raise ValueError("mixed variable count or modulus")
     n, p = A.n, A.p
     deg = A.degree + B.degree
-    D = dim_graded(n, deg)
-    check_budget(A.dim * B.dim, D, budget)
+    check_budget(A.dim * B.dim, dim_graded(n, deg), budget)
     if A.dim == 0 or B.dim == 0:
         return GradedSubspace.zero(n, p, deg)
-    T = product_index_table(n, A.degree, B.degree)
-    rows = np.zeros((A.dim * B.dim, D), dtype=np.int64)
-    r = 0
-    for va in A.basis:
-        nza = np.nonzero(va)[0]
-        for vb in B.basis:
-            nzb = np.nonzero(vb)[0]
-            target = T[np.ix_(nza, nzb)]
-            contrib = (va[nza, None] * vb[None, nzb]) % p
-            np.add.at(rows[r], target.ravel(), contrib.ravel())
-            r += 1
-    rows %= p
+    rows = np.vstack([matmul_gfp(A.basis, multiplication_matrix(g, A.degree).T, p)
+                      for g in B.polynomials()])
     return GradedSubspace.from_rows(rows, n, p, deg)
 
 
 def annihilator(A: GradedSubspace) -> np.ndarray:
     """Row basis of the functionals (standard dot product) vanishing on A."""
-    if A.dim == 0:
-        return np.eye(A.ambient_dim, dtype=np.int64)
     return nullspace_gfp(A.basis, A.p)
 
 

@@ -121,6 +121,10 @@ def yukawa_chain(ring: JacobianRing, K: GradedSubspace,
     d, N, n, p = X.d, X.N, X.n, X.p
     if N != d + 2:
         raise ValueError("chain needs Calabi-Yau degree N = d+2")
+    if d < 2:
+        raise ValueError(f"chain needs d >= 2, got d={d}: at d = 1 the socle "
+                         "degree is N, so the only hyperplane K containing J^N "
+                         "is J^N itself and its socle image is zero")
     if K.degree != d + 2 or K.codim != 1:
         raise ValueError("K must be a hyperplane of S^(d+2)")
     _require_smooth(ring)

@@ -163,6 +163,7 @@ def test_prime_flag_and_env(monkeypatch):
     ({}, ["green-scan", "--n", "2", "--N", "2", "--codim", "2..0"], 2),
     ({}, ["green-scan", "--n", "2", "--N", "2", "--trials", "-1"], 2),
     ({}, ["green-scan", "--n", "2", "--N", "2", "--amax", "-1"], 2),
+    ({}, ["yukawa-chain", "--d", "1"], 2),
 ])
 def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
     for key, value in env.items():

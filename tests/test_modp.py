@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import P2, P_MAX
 from jacring.modp import (
     DEFAULT_PRIME,
     SizeBudgetError,
@@ -88,6 +89,31 @@ def test_nullspace():
         assert Nsp.shape[0] == 15 - rank_gfp(M, P)
         assert not (matmul_gfp(M, Nsp.T, P) % P).any()
         assert rank_gfp(Nsp, P) == Nsp.shape[0]
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_nullspace_is_canonical_kernel(p):
+    rng = np.random.default_rng(7)
+    full_col = rng.integers(0, p, size=(9, 4), dtype=np.int64)
+    low = matmul_gfp(rng.integers(0, p, size=(10, 3), dtype=np.int64),
+                     rng.integers(0, p, size=(3, 8), dtype=np.int64), p)
+    shapes = [
+        ("0xc", np.zeros((0, 5), dtype=np.int64)),
+        ("zero", np.zeros((3, 6), dtype=np.int64)),
+        ("full column rank", full_col),
+        ("wide", rng.integers(0, p, size=(4, 11), dtype=np.int64)),
+        ("tall", rng.integers(0, p, size=(12, 7), dtype=np.int64)),
+        ("tall, rank 3", low),
+        ("negative entries", rng.integers(-p, p, size=(5, 9), dtype=np.int64)),
+    ]
+    for name, M in shapes:
+        Nsp = nullspace_gfp(M, p)
+        cols = M.shape[1]
+        assert Nsp.shape == (cols - rank_gfp(M, p), cols), (name, p)
+        R, _ = rref_gfp(Nsp, p)
+        assert np.array_equal(Nsp, R), (name, p)
+        product = (M.astype(object) % p) @ Nsp.T.astype(object)
+        assert not (product % p).any(), (name, p)
 
 
 def test_matmul_exact_vs_python_int():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import P, random_subspace
+from conftest import P, P2, P_MAX, random_subspace
 from jacring.jacobian import JacobianRing, fermat
 from jacring.polynomials import Polynomial, dim_graded, parse_polynomial
 from jacring.spaces import (
@@ -82,6 +82,35 @@ def test_product_span_examples():
     assert AB.polynomials()[0] == parse_polynomial("x0*x1", 2, P)
 
 
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_product_span_matches_polynomial_products(p):
+    # reference: the dict product Polynomial.__mul__ of every basis pair
+    def reference(A, B):
+        prods = [a * b for a in A.polynomials() for b in B.polynomials()]
+        if not prods:
+            return GradedSubspace.zero(A.n, p, A.degree + B.degree)
+        return GradedSubspace.from_polynomials(prods, A.degree + B.degree)
+
+    def monomial(n, deg, count, rng):
+        picks = rng.choice(dim_graded(n, deg), size=count, replace=False)
+        return GradedSubspace.span_of_monomials(picks, n, p, deg)
+
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        da, db = (int(x) for x in rng.integers(0, 4, size=2))
+        cases = [
+            (random_subspace(n, p, da, int(rng.integers(1, dim_graded(n, da) + 1)), rng),
+             random_subspace(n, p, db, int(rng.integers(1, dim_graded(n, db) + 1)), rng)),
+            (monomial(n, da, int(rng.integers(1, dim_graded(n, da) + 1)), rng),
+             monomial(n, db, int(rng.integers(1, dim_graded(n, db) + 1)), rng)),
+            (GradedSubspace.full(n, p, da), random_subspace(n, p, db, 1, rng)),
+            (random_subspace(n, p, da, 1, rng), GradedSubspace.zero(n, p, db)),
+        ]
+        for A, B in cases:
+            assert product_span(A, B) == reference(A, B), (seed, p, A, B)
+
+
 def test_product_span_symmetric_and_monotone():
     rng = np.random.default_rng(14)
     A = random_subspace(3, P, 2, 3, rng)
@@ -122,6 +151,11 @@ def test_annihilator():
     ann = annihilator(A)
     assert ann.shape[0] == A.codim
     assert not ((ann.astype(object) @ A.basis.T.astype(object)) % P).any()
+
+
+def test_annihilator_of_zero_is_identity():
+    ann = annihilator(GradedSubspace.zero(3, P, 2))
+    assert np.array_equal(ann, np.eye(dim_graded(3, 2), dtype=np.int64))
 
 
 def test_bpf_check():

@@ -47,7 +47,7 @@ from .koszul import (
 from .modp import DEFAULT_PRIME, SizeBudgetError, _env_int, cell_budget, validate_prime
 from .polynomials import PolynomialParseError, parse_polynomial
 from .spaces import GradedSubspace, bpf_check
-from .yukawa import random_hyperplane_over_jacobian, yukawa_chain
+from .yukawa import random_hyperplane_over_jacobian, yukawa_chain, yukawa_nonvanishing
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -201,6 +201,8 @@ def cmd_green_scan(args) -> int:
 def cmd_koszul_check(args) -> int:
     p = _prime(args)
     rng = np.random.default_rng(args.seed)
+    if args.codim < 0:
+        raise CliError(f"--codim must be >= 0, got {args.codim}", EXIT_USAGE)
     ring = _load_form(args, args.d, args.N, p, rng)
     X = ring.X
     n = X.n
@@ -270,6 +272,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_yukawa_chain(args) -> int:
     p = _prime(args)
+    d_min = 1 if args.k_equals_jacobian else 2
+    if args.d < d_min:
+        raise CliError(f"--d must be >= {d_min}, got {args.d}", EXIT_USAGE)
     if args.d > 2 and not args.allow_large:
         raise CliError(f"d={args.d} needs --allow-large (matrix sizes grow "
                        "quickly)", EXIT_USAGE)
@@ -277,7 +282,6 @@ def cmd_yukawa_chain(args) -> int:
     ring = random_smooth(args.d, args.d + 2, p, rng)
     X = ring.X
     if args.k_equals_jacobian:
-        from .yukawa import yukawa_nonvanishing
         K = ring.jacobian_piece(X.N)
         nonzero = yukawa_nonvanishing(ring, K)
         _emit_json({"d": args.d, "prime": p, "seed": args.seed,
@@ -383,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("yukawa-chain", help="hyperplane chain for Calabi-Yau "
                         "degree N = d+2")
     sp.add_argument("--d", type=int, default=2,
-                    help="fiber dimension, d >= 2 for the chain (N = d+2)")
+                    help="fiber dimension, d >= 2 for the chain and d >= 1 with "
+                         "--k-equals-jacobian (N = d+2)")
     sp.add_argument("--k-equals-jacobian", action="store_true",
                     help="use the degenerate K = J^(d+2) (socle image vanishes)")
     sp.add_argument("--allow-large", action="store_true")

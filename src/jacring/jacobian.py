@@ -84,10 +84,9 @@ def random_smooth(
     N: int,
     p: int,
     rng: np.random.Generator,
-    sparse_terms: int = 4,
     max_tries: int = 60,
 ) -> JacobianRing:
-    """Fermat plus a random sparse perturbation, retried until the smoothness
+    """Fermat plus four random terms, retried until the smoothness
     certificate passes.  Returns the certified ring; the form is `ring.X`."""
     if N < 2:
         raise ValueError(f"need N >= 2 for a smooth form, got N={N}")
@@ -96,7 +95,7 @@ def random_smooth(
     monos = monomial_exponents(n, N)
     for _ in range(max_tries):
         terms = dict(base.f.terms)
-        for _ in range(sparse_terms):
+        for _ in range(4):
             m = monos[int(rng.integers(len(monos)))]
             terms[m] = (terms.get(m, 0) + int(rng.integers(1, p))) % p
         try:
@@ -162,9 +161,8 @@ class _DegreeData:
 class JacobianRing:
     """Cached Hilbert data and quotient bases of R = S/J for one form."""
 
-    def __init__(self, X: Hypersurface, budget: int | None = None):
+    def __init__(self, X: Hypersurface):
         self.X = X
-        self.budget = budget
         self.partials = [g for g in jacobian_generators(X) if not g.is_zero()]
         if not self.partials:
             raise ValueError("all partial derivatives vanish")
@@ -176,10 +174,13 @@ class JacobianRing:
 
     def _jacobian_rows(self, k: int) -> np.ndarray:
         """Rows spanning J^k in S^k: each partial times each monomial of
-        degree k - (N-1)."""
+        degree k - (N-1).  Stored in the smallest unsigned type holding
+        [0, p), since elimination works on its own float64 copy."""
         n, a = self.X.n, k - (self.X.N - 1)
-        check_budget(dim_graded(n, a) * len(self.partials), dim_graded(n, k), self.budget)
-        return np.vstack([multiplication_matrix(g, a).T for g in self.partials])
+        check_budget(dim_graded(n, a) * len(self.partials), dim_graded(n, k))
+        dtype = np.min_scalar_type(self.X.p - 1)
+        return np.vstack([multiplication_matrix(g, a).T.astype(dtype)
+                          for g in self.partials])
 
     def _degree_data(self, k: int) -> _DegreeData:
         if k in self._cache:
@@ -215,8 +216,7 @@ class JacobianRing:
         n, p = self.X.n, self.X.p
         if data.rref is not None:
             return GradedSubspace(n, p, k, data.rref, tuple(int(c) for c in data.pivots))
-        D = dim_graded(n, k)
-        check_budget(len(data.pivots), D, self.budget)
+        check_budget(len(data.pivots), dim_graded(n, k))
         return GradedSubspace.span_of_monomials(data.pivots, n, p, k)
 
     def hilbert(self, k: int) -> int:

@@ -72,16 +72,15 @@ def _module_dim(k: int, n: int, ring: JacobianRing | None) -> int:
     return ring.hilbert(k) if ring is not None else dim_graded(n, k)
 
 
-def _mult_mats(W: GradedSubspace, k: int, ring: JacobianRing | None,
-               budget: int | None) -> list[np.ndarray]:
+def _mult_mats(W: GradedSubspace, k: int, ring: JacobianRing | None) -> list[np.ndarray]:
     """Multiplication by each W basis element as a matrix M^k -> M^(k+N)."""
     n, p, N = W.n, W.p, W.degree
     tgt = _module_dim(k + N, n, ring)
     if k < 0:
         return [np.zeros((tgt, 0), dtype=np.int64) for _ in range(W.dim)]
+    check_budget(dim_graded(n, k + N), dim_graded(n, k))
     mats = []
     for poly in W.polynomials():
-        check_budget(dim_graded(n, k + N), dim_graded(n, k), budget)
         M = multiplication_matrix(poly, k)
         if ring is not None:
             M = ring.reduce(M[:, ring.quotient_basis(k)].T, k + N).T
@@ -112,13 +111,12 @@ def _simplex_boundary(w: int, t: int) -> tuple[np.ndarray, ...]:
     return cols or (np.zeros(0, dtype=np.int64),) * 4
 
 
-def _koszul_delta(mats: list[np.ndarray], w: int, t: int, p: int,
-                  budget: int | None) -> np.ndarray:
+def _koszul_delta(mats: list[np.ndarray], w: int, t: int, p: int) -> np.ndarray:
     """Differential M^k (x) Λ^t W -> M^(k+N) (x) Λ^(t-1) W: the simplex
     boundary on Λ W, with dropping vertex j acting as multiplication by w_j."""
     dim_tgt, dim_src = mats[0].shape
     rows, cols = dim_tgt * _comb_count(w, t - 1), dim_src * _comb_count(w, t)
-    check_budget(max(rows, 1), max(cols, 1), budget)
+    check_budget(max(rows, 1), max(cols, 1))
     D = np.zeros((dim_tgt, _comb_count(w, t - 1), dim_src, _comb_count(w, t)),
                  dtype=np.int64)
     tgt, src, j, sign = _simplex_boundary(w, t)
@@ -127,18 +125,17 @@ def _koszul_delta(mats: list[np.ndarray], w: int, t: int, p: int,
 
 
 def koszul_slice(W: GradedSubspace, a: int, s: int,
-                 ring: JacobianRing | None = None,
-                 budget: int | None = None) -> KoszulSlice:
+                 ring: JacobianRing | None = None) -> KoszulSlice:
     """Explicit Koszul differentials around left degree a and exterior index s."""
     if s < 0:
         raise ValueError("s must be >= 0")
     if W.dim == 0:
         raise ValueError("W must be nonzero")
     p, N, w = W.p, W.degree, W.dim
-    mats_in = _mult_mats(W, a, ring, budget)
-    mats_out = _mult_mats(W, a + N, ring, budget)
-    delta_in = _koszul_delta(mats_in, w, s + 1, p, budget)
-    delta_out = _koszul_delta(mats_out, w, s, p, budget)
+    mats_in = _mult_mats(W, a, ring)
+    mats_out = _mult_mats(W, a + N, ring)
+    delta_in = _koszul_delta(mats_in, w, s + 1, p)
+    delta_out = _koszul_delta(mats_out, w, s, p)
     return KoszulSlice(
         module_kind="R" if ring is not None else "S",
         a=a, s=s, N=N, w=w, delta_in=delta_in, delta_out=delta_out, p=p,
@@ -197,14 +194,12 @@ def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulRepor
 
 
 def middle_exactness(W: GradedSubspace, a: int, s: int,
-                     ring: JacobianRing | None = None,
-                     budget: int | None = None,
-                     force_generic: bool = False) -> KoszulReport:
+                     ring: JacobianRing | None = None) -> KoszulReport:
     """Exact rank of the incoming differential, exact kernel of the outgoing
     one, and their difference (the middle defect)."""
-    if ring is None and W.is_monomial_spanned() and not force_generic:
+    if ring is None and W.is_monomial_spanned():
         return _middle_exactness_monomial(W, a, s)
-    return report_from_slice(koszul_slice(W, a, s, ring=ring, budget=budget))
+    return report_from_slice(koszul_slice(W, a, s, ring=ring))
 
 
 # -- subsystem sampling and the scan ----------------------------------------
@@ -214,8 +209,7 @@ def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
                          rng: np.random.Generator,
                          style: str = "dense",
                          max_tries: int = 50,
-                         m_max: int | None = None,
-                         budget: int | None = None) -> GradedSubspace:
+                         m_max: int | None = None) -> GradedSubspace:
     """Random codimension-c subsystem of S^N, certified base-point-free.
 
     style="dense" draws a random row space; style="monomial" keeps all
@@ -244,7 +238,7 @@ def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
             W = GradedSubspace.from_rows(rows, n, p, N)
             if W.dim != D - codim:
                 continue
-        if bpf_check(W, m_max, budget):
+        if bpf_check(W, m_max):
             return W
     raise BpfSamplingError(
         f"no certified base-point-free W after {max_tries} tries "
@@ -288,8 +282,7 @@ DENSE_COST_LIMIT = 2e9
 
 def green_scan(n: int, N: int, codims, a_max: int, s_max: int, trials: int,
                p: int, rng: np.random.Generator,
-               style: str = "auto",
-               budget: int | None = None) -> list[GreenCell]:
+               style: str = "auto") -> list[GreenCell]:
     """Evaluate middle exactness over the (a, s) grid for `trials` certified
     base-point-free subsystems of each listed codimension."""
     if trials < 1 or a_max < 0 or s_max < 0:
@@ -303,10 +296,10 @@ def green_scan(n: int, N: int, codims, a_max: int, s_max: int, trials: int,
         else:
             c_style = style
         for trial in range(trials):
-            W = sample_bpf_subsystem(n, N, c, p, rng, style=c_style, budget=budget)
+            W = sample_bpf_subsystem(n, N, c, p, rng, style=c_style)
             for a in range(a_max + 1):
                 for s in range(s_max + 1):
-                    rep = middle_exactness(W, a, s, budget=budget)
+                    rep = middle_exactness(W, a, s)
                     cells.append(GreenCell(
                         n=n, N=N, codim=c, trial=trial, a=a, s=s,
                         rank_in=rep.rank_in, kernel_out=rep.kernel_out,
@@ -330,7 +323,7 @@ class JacobianKoszulReport:
 
 
 def jacobian_koszul_check(ring: JacobianRing, W: GradedSubspace, p_index: int,
-                          s: int, budget: int | None = None) -> JacobianKoszulReport:
+                          s: int) -> JacobianKoszulReport:
     """Middle exactness of the Jacobian-ring Koszul slice at left degree
     a = -d-2+N*p_index, for a system W between J^N and S^N."""
     X = ring.X
@@ -342,7 +335,7 @@ def jacobian_koszul_check(ring: JacobianRing, W: GradedSubspace, p_index: int,
     if not W.contains(ring.jacobian_piece(X.N)):
         raise ValueError("W must contain the degree-N piece of the Jacobian ideal")
     a = -X.d - 2 + X.N * p_index
-    rep = middle_exactness(W, a, s, ring=ring, budget=budget)
+    rep = middle_exactness(W, a, s, ring=ring)
     return JacobianKoszulReport(
         report=rep,
         a=a,

@@ -37,8 +37,9 @@ def cell_budget() -> int:
     return _env_int("JACRING_CELL_BUDGET", DEFAULT_CELL_BUDGET)
 
 
-def check_budget(rows: int, cols: int, budget: int | None = None) -> None:
-    limit = cell_budget() if budget is None else budget
+def check_budget(rows: int, cols: int) -> None:
+    """The one size limit: $JACRING_CELL_BUDGET cells, with no per-call override."""
+    limit = cell_budget()
     if rows * cols > limit:
         raise SizeBudgetError(
             f"matrix of shape {rows}x{cols} exceeds cell budget {limit}"

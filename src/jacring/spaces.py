@@ -173,13 +173,13 @@ def multiplication_matrix(g: Polynomial, a: int) -> np.ndarray:
     return rows.T
 
 
-def product_span(A: GradedSubspace, B: GradedSubspace, budget: int | None = None) -> GradedSubspace:
+def product_span(A: GradedSubspace, B: GradedSubspace) -> GradedSubspace:
     """Row-reduced span of all pairwise products of basis elements."""
     if (A.n, A.p) != (B.n, B.p):
         raise ValueError("mixed variable count or modulus")
     n, p = A.n, A.p
     deg = A.degree + B.degree
-    check_budget(A.dim * B.dim, dim_graded(n, deg), budget)
+    check_budget(A.dim * B.dim, dim_graded(n, deg))
     if A.dim == 0 or B.dim == 0:
         return GradedSubspace.zero(n, p, deg)
     rows = np.vstack([matmul_gfp(A.basis, multiplication_matrix(g, A.degree).T, p)
@@ -224,7 +224,7 @@ def bpf_default_mmax(n: int, N: int) -> int:
     return n * (N - 1) + 1
 
 
-def bpf_check(W: GradedSubspace, m_max: int | None = None, budget: int | None = None) -> BpfResult:
+def bpf_check(W: GradedSubspace, m_max: int | None = None) -> BpfResult:
     """Verified(m) for the least m <= m_max with S^(m-N) * W = S^m."""
     N = W.degree
     n, p = W.n, W.p
@@ -236,6 +236,6 @@ def bpf_check(W: GradedSubspace, m_max: int | None = None, budget: int | None = 
         raise ValueError("m_max must be at least the degree of W")
     for m in range(N, m_max + 1):
         S = GradedSubspace.full(n, p, m - N)
-        if product_span(S, W, budget).is_full():
+        if product_span(S, W).is_full():
             return BpfResult(True, m)
     return BpfResult(False)

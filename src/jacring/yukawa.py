@@ -45,18 +45,17 @@ def socle_pairing_rank(ring: JacobianRing, A: GradedSubspace, B: GradedSubspace)
     return rank_gfp(P, X.p)
 
 
-def power_span(K: GradedSubspace, d: int, budget: int | None = None) -> GradedSubspace:
+def power_span(K: GradedSubspace, d: int) -> GradedSubspace:
     """Row-reduced span of d-fold products K^d, built iteratively."""
     if d < 1:
         raise ValueError("need d >= 1")
     out = K
     for _ in range(d - 1):
-        out = product_span(out, K, budget)
+        out = product_span(out, K)
     return out
 
 
-def yukawa_nonvanishing(ring: JacobianRing, K: GradedSubspace,
-                        budget: int | None = None) -> bool:
+def yukawa_nonvanishing(ring: JacobianRing, K: GradedSubspace) -> bool:
     """True iff the image of K^d in R^(d(d+2)) is nonzero, for N = d+2."""
     X = ring.X
     if X.N != X.d + 2:
@@ -66,7 +65,7 @@ def yukawa_nonvanishing(ring: JacobianRing, K: GradedSubspace,
     _require_smooth(ring)
     if not K.contains(ring.jacobian_piece(X.N)):
         raise ValueError("K must contain the degree-N piece of the Jacobian ideal")
-    Kd = power_span(K, X.d, budget)
+    Kd = power_span(K, X.d)
     image = ring.reduce(Kd.basis, X.socle_degree)
     return bool(image.any())
 
@@ -112,8 +111,7 @@ def random_hyperplane_over_jacobian(ring: JacobianRing,
     return GradedSubspace.from_rows(rows, X.n, X.p, X.N)
 
 
-def yukawa_chain(ring: JacobianRing, K: GradedSubspace,
-                 budget: int | None = None) -> YukawaChainReport:
+def yukawa_chain(ring: JacobianRing, K: GradedSubspace) -> YukawaChainReport:
     """Evaluate every step of the hyperplane chain with exact dimensions.
 
     Failing steps are reported, not fatal."""
@@ -137,21 +135,23 @@ def yukawa_chain(ring: JacobianRing, K: GradedSubspace,
     steps.append(ChainStep("colon_codim", f"<= {d + 2}", Kp.codim,
                            Kp.codim <= d + 2))
 
-    bpf = bpf_check(Kp, budget=budget)
+    bpf = bpf_check(Kp)
     steps.append(ChainStep("colon_bpf", "verified",
                            f"verified at degree {bpf.degree}" if bpf else "unknown",
                            bool(bpf)))
 
     full_2d4 = dim_graded(n, 2 * d + 4)
-    span = product_span(GradedSubspace.full(n, p, d + 3), Kp, budget)
+    span = product_span(GradedSubspace.full(n, p, d + 3), Kp)
     steps.append(ChainStep("span_full_times_colon", f"dim {full_2d4}", span.dim,
                            span.dim == full_2d4))
 
-    K2 = product_span(K, K, budget)
+    K2 = product_span(K, K)
     steps.append(ChainStep("square_full", f"dim {full_2d4}", K2.dim,
                            K2.dim == full_2d4))
 
-    Kd = power_span(K, d, budget)
+    Kd = K2  # K^d from K^2, so that no product span runs twice
+    for _ in range(d - 2):
+        Kd = product_span(Kd, K)
     full_top = dim_graded(n, d * (d + 2))
     steps.append(ChainStep("power_full", f"dim {full_top}", Kd.dim,
                            Kd.dim == full_top))

@@ -164,6 +164,8 @@ def test_prime_flag_and_env(monkeypatch):
     ({}, ["green-scan", "--n", "2", "--N", "2", "--trials", "-1"], 2),
     ({}, ["green-scan", "--n", "2", "--N", "2", "--amax", "-1"], 2),
     ({}, ["yukawa-chain", "--d", "1"], 2),
+    ({}, ["koszul-check", "--d", "1", "--N", "3", "--fermat", "--p-index", "1",
+          "--s", "0", "--codim", "-1"], 2),
 ])
 def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
     for key, value in env.items():
@@ -171,6 +173,17 @@ def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
     assert run_cli(argv) == (code, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["yukawa-chain", "--d", "0"],
+    ["yukawa-chain", "--d", "-1"],
+    ["yukawa-chain", "--d", "0", "--k-equals-jacobian"],
+])
+def test_yukawa_chain_names_rejected_d(capsys, argv):
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--d" in err, err
 
 
 @pytest.mark.parametrize("name", ["JACRING_PRIME", "JACRING_CELL_BUDGET"])
@@ -208,3 +221,29 @@ def test_acceptance8_outputs_match_goldens():
     assert len(goldens) == 10
     for rec in goldens:
         assert run_cli(rec["argv"]) == (rec["exit_code"], rec["stdout"]), rec["argv"]
+
+
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+
+@pytest.mark.parametrize("schema, argv, code", [
+    ("hodge-numbers", ["hodge-numbers", "--d", "2", "--N", "3", "--fermat"], 0),
+    ("hodge-numbers", ["hodge-numbers", "--d", "1", "--N", "3", "--f", "x0^3"], 1),
+    ("hilbert", ["hilbert", "--d", "1", "--N", "3", "--fermat"], 0),
+    ("koszul-check", ["koszul-check", "--d", "1", "--N", "3", "--fermat",
+                      "--p-index", "1", "--s", "0", "--codim", "1"], 0),
+    ("sweep", ["sweep", "--d", "3", "--abelian", "--format", "json"], 0),
+    ("sweep-threshold", ["sweep", "--d", "3", "--genus", "2", "--find-threshold"], 0),
+    ("yukawa-chain", ["yukawa-chain", "--d", "2", "--seed", "7"], 0),
+    ("yukawa-chain", ["yukawa-chain", "--d", "2", "--k-equals-jacobian"], 0),
+    ("bpf-check", ["bpf-check", "--n", "3", "--N", "3", "--codim", "2", "--seed", "1"], 0),
+    ("bpf-check", ["bpf-check", "--n", "2", "--N", "2", "--codim", "1", "--mmax", "2"], 1),
+    ("bpf-check", ["bpf-check", "--n", "2", "--N", "2", "--codim", "2",
+                   "--style", "monomial"], 1),
+])
+def test_report_matches_schema(schema, argv, code):
+    jsonschema = pytest.importorskip("jsonschema")
+    spec = json.loads((SCHEMA_DIR / f"{schema}.v1.json").read_text())
+    got, out = run_cli(argv)
+    assert got == code, argv
+    jsonschema.Draft202012Validator(spec).validate(json.loads(out))

@@ -17,6 +17,7 @@ from jacring.jacobian import (
     random_smooth,
 )
 from jacring.polynomials import Polynomial, dim_graded, monomial_exponents, parse_polynomial
+from jacring.spaces import GradedSubspace
 
 
 def fermat_series(d, N, kmax):
@@ -114,6 +115,25 @@ def test_generic_path_matches_monomial_path():
     assert not pert.monomial_path or pert.X.f == fer.X.f
     for k in range(fer.X.socle_degree + 2):
         assert fer.hilbert(k) == pert.hilbert(k)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_jacobian_piece_matches_polynomial_products(p):
+    # the elimination path against Polynomial.__mul__ products of the
+    # partials, on dense forms whose coefficients fill [0, p)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n, N = [(3, 3), (3, 4), (4, 3)][seed % 3]
+        terms = {m: int(rng.integers(1, p)) for m in monomial_exponents(n, N)}
+        ring = JacobianRing(Hypersurface(Polynomial(n, p, terms), n - 2, N))
+        assert not ring.monomial_path
+        for k in range(N - 1, ring.X.socle_degree + 2):
+            products = [g * Polynomial.monomial(m, p) for g in ring.partials
+                        for m in monomial_exponents(n, k - N + 1)]
+            want = GradedSubspace.from_polynomials(products, k)
+            got = ring.jacobian_piece(k)
+            assert got.pivots == want.pivots, (seed, p, k)
+            assert np.array_equal(got.basis, want.basis), (seed, p, k)
 
 
 def test_smoothness_certificates():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import P, P2, random_subspace
-from jacring.jacobian import JacobianRing, NotSmoothError, fermat
+from jacring.jacobian import JacobianRing, NotSmoothError, fermat, random_smooth
 from jacring.koszul import (
     BpfSamplingError,
     green_scan,
@@ -14,9 +14,10 @@ from jacring.koszul import (
     report_from_slice,
     sample_bpf_subsystem,
 )
-from jacring.modp import matmul_gfp, rank_gfp
+from jacring.modp import SizeBudgetError, matmul_gfp, rank_gfp
 from jacring.polynomials import dim_graded
 from jacring.spaces import GradedSubspace, bpf_check, product_span
+from jacring.yukawa import power_span
 
 
 def test_slice_shapes():
@@ -73,7 +74,7 @@ def test_full_system_exact_in_range():
     for a in range(3):
         for s in range(3):
             if a >= s:
-                assert middle_exactness(W, a, s, force_generic=True).exact
+                assert report_from_slice(koszul_slice(W, a, s)).exact
 
 
 def test_monomial_path_matches_generic():
@@ -89,7 +90,7 @@ def test_monomial_path_matches_generic():
             a = int(rng.integers(-2, 3))
             s = int(rng.integers(0, 4))
             fast = middle_exactness(W, a, s)
-            slow = middle_exactness(W, a, s, force_generic=True)
+            slow = report_from_slice(koszul_slice(W, a, s))
             case = (n, N, keep, a, s, p)
             assert (fast.rank_in, fast.kernel_out, fast.defect) == \
                    (slow.rank_in, slow.kernel_out, slow.defect), case
@@ -155,3 +156,31 @@ def test_jacobian_koszul_rejects_singular():
     ring = JacobianRing(cone)
     with pytest.raises(NotSmoothError):
         jacobian_koszul_check(ring, GradedSubspace.full(3, P, 3), 1, 0)
+
+
+def _budget_sites() -> dict:
+    """One call per construction that checks $JACRING_CELL_BUDGET, each
+    needing more than 10 cells."""
+    rng = np.random.default_rng(31)
+    S2 = GradedSubspace.full(3, P, 2)
+    dense = random_subspace(3, P, 2, 4, rng)
+    assert not dense.is_monomial_spanned()
+    generic = JacobianRing(random_smooth(1, 3, P, rng).X)
+    assert not generic.monomial_path
+    return {
+        "product_span": lambda: product_span(S2, S2),
+        "bpf_check": lambda: bpf_check(S2),
+        "koszul_slice": lambda: koszul_slice(S2, 1, 1),
+        "middle_exactness_dense": lambda: middle_exactness(dense, 1, 1),
+        "jacobian_piece_monomial": lambda: JacobianRing(fermat(1, 3, P)).jacobian_piece(2),
+        "jacobian_piece_generic": lambda: generic.jacobian_piece(2),
+        "power_span": lambda: power_span(S2, 2),
+    }
+
+
+@pytest.mark.parametrize("site", list(_budget_sites()))
+def test_cell_budget_guards_construction(monkeypatch, site):
+    call = _budget_sites()[site]
+    monkeypatch.setenv("JACRING_CELL_BUDGET", "10")
+    with pytest.raises(SizeBudgetError):
+        call()

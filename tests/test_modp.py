@@ -142,4 +142,3 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("JACRING_CELL_BUDGET", "50")
     with pytest.raises(SizeBudgetError):
         check_budget(10, 10)
-    check_budget(10, 10, budget=200)  # explicit budget wins over the env

@@ -175,6 +175,8 @@ def cmd_hilbert(args) -> int:
 
 def cmd_green_scan(args) -> int:
     p = _prime(args)
+    if args.N < 1:
+        raise CliError(f"--N must be >= 1, got {args.N}", EXIT_USAGE)
     rng = np.random.default_rng(args.seed)
     codims = _parse_range(args.codim)
     rows = []
@@ -300,6 +302,8 @@ def cmd_yukawa_chain(args) -> int:
 
 def cmd_bpf_check(args) -> int:
     p = _prime(args)
+    if args.N < 1:
+        raise CliError(f"--N must be >= 1, got {args.N}", EXIT_USAGE)
     rng = np.random.default_rng(args.seed)
     if args.codim == 0:
         W = GradedSubspace.full(args.n, p, args.N)

@@ -2,7 +2,9 @@
 
 Matrices are numpy int64 arrays with entries in [0, p).  Elimination runs
 in float64, which is exact as long as p**2 < 2**53; the default modulus
-65521 leaves ample headroom.  All routines are pure functions.
+65521 leaves ample headroom.  Each pivot touches only the nonzero columns
+of its row, so the cost of an elimination follows its fill-in, not its
+shape.  All routines are pure functions.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
+        support = c + np.nonzero(A[r, c:])[0]
         inv = inv_mod(int(A[r, c]), p)
-        A[r, c:] = (A[r, c:] * inv) % p
+        A[r, support] = (A[r, support] * inv) % p
         if reduced:
             others = np.nonzero(A[:, c])[0]
             others = others[others != r]
@@ -103,10 +106,8 @@ def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
             below = np.nonzero(A[r + 1:, c])[0]
             others = below + r + 1
         if others.size:
-            A[np.ix_(others, range(c, cols))] = (
-                A[np.ix_(others, range(c, cols))]
-                - np.outer(A[others, c], A[r, c:])
-            ) % p
+            block = np.ix_(others, support)
+            A[block] = (A[block] - np.outer(A[others, c], A[r, support])) % p
         pivots.append(c)
         r += 1
     return A, pivots

@@ -186,6 +186,18 @@ def test_yukawa_chain_names_rejected_d(capsys, argv):
     assert err.startswith("error: ") and "--d" in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["green-scan", "--n", "2", "--N", "0"],
+    ["bpf-check", "--n", "2", "--N", "0"],
+    ["green-scan", "--n", "2", "--N", "-3"],
+    ["bpf-check", "--n", "2", "--N", "-3"],
+])
+def test_rejected_N_is_named(capsys, argv):
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--N" in err, err
+
+
 @pytest.mark.parametrize("name", ["JACRING_PRIME", "JACRING_CELL_BUDGET"])
 def test_malformed_setting_is_named(monkeypatch, capsys, name):
     monkeypatch.setenv(name, "abc")

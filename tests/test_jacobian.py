@@ -290,3 +290,12 @@ def test_certificate_matches_elimination(p):
             for k in range(X.socle_degree + 3):
                 assert ci_hilbert(n, N, k) == fresh.hilbert(k), (seed, p, k, str(f))
     assert any(verdicts) and not all(verdicts)
+
+
+def test_quintic_hilbert_by_elimination_at_large_size():
+    # RREFs of the 5005x3060 J^14 and 6825x3876 J^15 rows of a random
+    # smooth quintic threefold, the largest eliminations in the tests
+    ring = random_smooth(3, 5, P, np.random.default_rng(0))
+    fresh = JacobianRing(ring.X)
+    for k, expected in ((14, 5), (15, 1)):
+        assert fresh.hilbert(k) == ci_hilbert(5, 5, k) == expected, k

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import P2, P_MAX
+from jacring.jacobian import Hypersurface, JacobianRing, random_smooth
 from jacring.modp import (
     DEFAULT_PRIME,
     SizeBudgetError,
@@ -14,6 +15,7 @@ from jacring.modp import (
     rref_gfp,
     validate_prime,
 )
+from jacring.polynomials import Polynomial, monomial_exponents
 
 P = DEFAULT_PRIME
 
@@ -114,6 +116,91 @@ def test_nullspace_is_canonical_kernel(p):
         assert np.array_equal(Nsp, R), (name, p)
         product = (M.astype(object) % p) @ Nsp.T.astype(object)
         assert not (product % p).any(), (name, p)
+
+
+def _gauss_jordan(rows, p):
+    """Reference RREF over GF(p) in Python ints: (nonzero rows, pivots)."""
+    M = [[int(x) % p for x in row] for row in rows]
+    cols = len(M[0]) if M else 0
+    r, pivots = 0, []
+    for c in range(cols):
+        i = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        inv = pow(M[r][c], p - 2, p)
+        M[r] = [x * inv % p for x in M[r]]
+        for j in range(len(M)):
+            if j != r and M[j][c]:
+                f = M[j][c]
+                M[j] = [(x - f * y) % p for x, y in zip(M[j], M[r])]
+        pivots.append(c)
+        r += 1
+    return M[:r], pivots
+
+
+def _reference_kernel(rows, cols, p):
+    """RREF of the right kernel, from the free columns of the reference RREF."""
+    R, pivots = _gauss_jordan(rows, p)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        x = [0] * cols
+        x[f] = 1
+        for row, c in zip(R, pivots):
+            x[c] = -row[f] % p
+        basis.append(x)
+    return _gauss_jordan(basis, p)[0]
+
+
+def _elimination_cases(p):
+    """(name, seed, matrix) triples with sparse, structured and Jacobian rows."""
+    for seed, density in enumerate((0.02, 0.05, 0.1, 0.2, 0.3)):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(10, 45, size=2))
+        M = rng.integers(1, p, size=shape) * (rng.random(shape) < density)
+        yield f"sparse {density}", seed, M
+        # each row's support ends at its own column, often before the last
+        ends = rng.integers(1, shape[1] + 1, size=shape[0])
+        yield f"early end {density}", seed, M * (np.arange(shape[1]) < ends[:, None])
+    rng = np.random.default_rng(10)
+    # rows 0 and 1 miss column 0; the swap brings in row 2, whose support
+    # {0, 3, 5} is disjoint from row 0's {1, 2}
+    swap = np.array([[0, 1, 2, 0, 0, 0],
+                     [0, 0, 3, 4, 0, 0],
+                     [5, 0, 0, 6, 0, 7],
+                     [0, 8, 0, 0, 9, 0]])
+    yield "pivot swap", 10, swap
+    M = rng.integers(0, p, size=(20, 15)) * (rng.random((20, 15)) < 0.2)
+    M[::3] = 0
+    yield "zero rows", 10, M
+    yield "zero matrix", 10, np.zeros((4, 7), dtype=np.int64)
+    yield "wide", 10, rng.integers(0, p, size=(5, 30))
+    yield "tall", 10, rng.integers(0, p, size=(30, 5))
+    low = matmul_gfp(rng.integers(0, p, size=(25, 4)), rng.integers(0, p, size=(4, 18)), p)
+    yield "rank 4", 10, low
+    for seed, (d, N) in enumerate(((1, 3), (2, 3), (1, 4)), start=20):
+        rng = np.random.default_rng(seed)
+        ring = random_smooth(d, N, p, rng)
+        terms = {m: int(rng.integers(1, p)) for m in monomial_exponents(d + 2, N)}
+        dense = JacobianRing(Hypersurface(Polynomial(d + 2, p, terms), d, N))
+        for k in range(N - 1, ring.X.socle_degree + 2):
+            yield f"J^{k} of random smooth (d={d}, N={N})", seed, ring._jacobian_rows(k)
+            yield f"J^{k} of dense form (d={d}, N={N})", seed, dense._jacobian_rows(k)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_elimination_matches_exact_reference(p):
+    for name, seed, M in _elimination_cases(p):
+        msg = f"{name}, seed {seed}, p {p}, shape {M.shape}"
+        rows = M.tolist()
+        R, pivots = _gauss_jordan(rows, p)
+        assert rank_gfp(M, p) == len(pivots), msg
+        E, epivots = rref_gfp(M, p)
+        assert epivots == pivots, msg
+        assert E.tolist() == R, msg
+        K = nullspace_gfp(M, p)
+        assert K.shape == (M.shape[1] - len(pivots), M.shape[1]), msg
+        assert K.tolist() == _reference_kernel(rows, M.shape[1], p), msg
 
 
 def test_matmul_exact_vs_python_int():

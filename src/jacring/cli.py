@@ -45,7 +45,7 @@ from .koszul import (
     sample_bpf_subsystem,
 )
 from .modp import DEFAULT_PRIME, SizeBudgetError, _env_int, cell_budget, validate_prime
-from .polynomials import PolynomialParseError, parse_polynomial
+from .polynomials import PolynomialParseError, dim_graded, parse_polynomial
 from .spaces import GradedSubspace, bpf_check
 from .yukawa import random_hyperplane_over_jacobian, yukawa_chain, yukawa_nonvanishing
 
@@ -72,13 +72,6 @@ def _emit_csv(columns, rows) -> None:
     for row in rows:
         writer.writerow(row)
     sys.stdout.write(buf.getvalue())
-
-
-def _prime(args) -> int:
-    p = args.prime
-    if p is None:
-        p = _env_int("JACRING_PRIME", DEFAULT_PRIME)
-    return validate_prime(p)
 
 
 def _load_form(args, d: int, N: int, p: int, rng) -> JacobianRing:
@@ -129,9 +122,7 @@ def _parse_range(text: str) -> list[int]:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_hodge_numbers(args) -> int:
-    p = _prime(args)
-    rng = np.random.default_rng(args.seed)
+def cmd_hodge_numbers(args, p: int, rng: np.random.Generator) -> int:
     ring = _load_form(args, args.d, args.N, p, rng)
     X = ring.X
     cert = ring.smoothness_certificate()
@@ -156,9 +147,7 @@ def cmd_hodge_numbers(args) -> int:
     return EXIT_OK if cert.smooth else EXIT_MATH
 
 
-def cmd_hilbert(args) -> int:
-    p = _prime(args)
-    rng = np.random.default_rng(args.seed)
+def cmd_hilbert(args, p: int, rng: np.random.Generator) -> int:
     ring = _load_form(args, args.d, args.N, p, rng)
     X = ring.X
     if args.k is not None:
@@ -173,21 +162,22 @@ def cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
-def cmd_green_scan(args) -> int:
-    p = _prime(args)
+def cmd_green_scan(args, p: int, rng: np.random.Generator) -> int:
     if args.N < 1:
         raise CliError(f"--N must be >= 1, got {args.N}", EXIT_USAGE)
-    rng = np.random.default_rng(args.seed)
     codims = _parse_range(args.codim)
+    D = dim_graded(args.n, args.N)
+    for c in codims:
+        if not 0 <= c < D:
+            raise CliError(f"--codim must be in 0..{D - 1} for dim S^N = {D}, "
+                           f"got {c}", EXIT_USAGE)
     rows = []
-    failures = []
     defective_in_bound = False
     for c in codims:
         try:
             cells = green_scan(args.n, args.N, [c], args.amax, args.smax,
                                args.trials, p, rng, style=args.style)
         except BpfSamplingError as e:
-            failures.append(str(e))
             print(f"# codim {c}: {e}", file=sys.stderr)
             continue
         for cell in cells:
@@ -200,9 +190,7 @@ def cmd_green_scan(args) -> int:
     return EXIT_MATH if defective_in_bound else EXIT_OK
 
 
-def cmd_koszul_check(args) -> int:
-    p = _prime(args)
-    rng = np.random.default_rng(args.seed)
+def cmd_koszul_check(args, p: int, rng: np.random.Generator) -> int:
     if args.codim < 0:
         raise CliError(f"--codim must be >= 0, got {args.codim}", EXIT_USAGE)
     ring = _load_form(args, args.d, args.N, p, rng)
@@ -248,7 +236,7 @@ SWEEP_COLUMNS = ("d", "N", "r", "C", "gamma", "ineq1_slack", "ineq2_slack",
                  "pass", "degree_hypothesis")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, p: int, rng: np.random.Generator) -> int:
     if args.abelian:
         reports = abelian_sweep_table(args.d)
     elif args.genus is not None:
@@ -272,15 +260,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_yukawa_chain(args) -> int:
-    p = _prime(args)
+def cmd_yukawa_chain(args, p: int, rng: np.random.Generator) -> int:
     d_min = 1 if args.k_equals_jacobian else 2
     if args.d < d_min:
         raise CliError(f"--d must be >= {d_min}, got {args.d}", EXIT_USAGE)
     if args.d > 2 and not args.allow_large:
         raise CliError(f"d={args.d} needs --allow-large (matrix sizes grow "
                        "quickly)", EXIT_USAGE)
-    rng = np.random.default_rng(args.seed)
     ring = random_smooth(args.d, args.d + 2, p, rng)
     X = ring.X
     if args.k_equals_jacobian:
@@ -300,11 +286,9 @@ def cmd_yukawa_chain(args) -> int:
     return EXIT_OK if rep.all_ok else EXIT_MATH
 
 
-def cmd_bpf_check(args) -> int:
-    p = _prime(args)
+def cmd_bpf_check(args, p: int, rng: np.random.Generator) -> int:
     if args.N < 1:
         raise CliError(f"--N must be >= 1, got {args.N}", EXIT_USAGE)
-    rng = np.random.default_rng(args.seed)
     if args.codim == 0:
         W = GradedSubspace.full(args.n, p, args.N)
     else:
@@ -417,7 +401,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cell_budget()  # reject a malformed JACRING_CELL_BUDGET before any work
-        return args.func(args)
+        p = validate_prime(_env_int("JACRING_PRIME", DEFAULT_PRIME)
+                           if args.prime is None else args.prime)
+        return args.func(args, p, np.random.default_rng(args.seed))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -101,14 +101,17 @@ def genus_moduli_dim(g: int) -> int:
     return 1 if g == 1 else 3 * g - 3
 
 
-def genus_threshold(d: int, g: int, N_cap: int = 10_000) -> int:
-    """Minimal degree N at which the r=1 criterion passes against genus-g
-    curves, found by upward scan."""
+GENUS_N_CAP = 10_000
+
+
+def genus_threshold(d: int, g: int) -> int:
+    """Minimal degree N <= GENUS_N_CAP at which the r=1 criterion passes
+    against genus-g curves, found by upward scan."""
     C = genus_moduli_dim(g)
-    for N in range(1, N_cap + 1):
+    for N in range(1, GENUS_N_CAP + 1):
         if sweep_criterion(CriterionInput(d=d, N=N, r=1, C=C)).pass_:
             return N
-    raise RuntimeError(f"no passing degree below {N_cap}")
+    raise RuntimeError(f"no passing degree below {GENUS_N_CAP}")
 
 
 def genus_threshold_closed_form(d: int, g: int) -> int:

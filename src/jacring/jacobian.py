@@ -31,6 +31,9 @@ from .polynomials import (
 from .spaces import GradedSubspace, multiplication_matrix
 
 
+RANDOM_SMOOTH_TRIES = 60
+
+
 class NotSmoothError(ValueError):
     """Operation requires a smooth-certified hypersurface."""
 
@@ -84,7 +87,6 @@ def random_smooth(
     N: int,
     p: int,
     rng: np.random.Generator,
-    max_tries: int = 60,
 ) -> JacobianRing:
     """Fermat plus four random terms, retried until the smoothness
     certificate passes.  Returns the certified ring; the form is `ring.X`."""
@@ -93,7 +95,7 @@ def random_smooth(
     base = fermat(d, N, p)  # rejects d < 0 and a modulus dividing N(N-1)
     n = base.n
     monos = monomial_exponents(n, N)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_SMOOTH_TRIES):
         terms = dict(base.f.terms)
         for _ in range(4):
             m = monos[int(rng.integers(len(monos)))]
@@ -105,7 +107,8 @@ def random_smooth(
         ring = JacobianRing(X)
         if ring.smoothness_certificate().smooth:
             return ring
-    raise NotSmoothError(f"no smooth form found in {max_tries} tries at (d={d}, N={N})")
+    raise NotSmoothError(
+        f"no smooth form found in {RANDOM_SMOOTH_TRIES} tries at (d={d}, N={N})")
 
 
 def ci_hilbert(n: int, N: int, k: int) -> int:
@@ -163,9 +166,8 @@ class JacobianRing:
 
     def __init__(self, X: Hypersurface):
         self.X = X
+        # never empty: N f = sum x_i d_i f (Euler) and p does not divide N
         self.partials = [g for g in jacobian_generators(X) if not g.is_zero()]
-        if not self.partials:
-            raise ValueError("all partial derivatives vanish")
         self.monomial_path = all(g.is_monomial() for g in self.partials)
         self._cache: dict[int, _DegreeData] = {}
         self._certificate: SmoothnessCertificate | None = None
@@ -188,11 +190,7 @@ class JacobianRing:
         X = self.X
         n, N = X.n, X.N
         D = dim_graded(n, k)
-        if k < N - 1:
-            data = _DegreeData(
-                np.zeros(0, dtype=np.int64), np.arange(D, dtype=np.int64), None
-            )
-        elif self.monomial_path:
+        if self.monomial_path:
             idx = monomial_index(n, N - 1)
             leads = [idx[m] for g in self.partials for m in g.terms]
             piv = np.unique(product_index_table(n, k - (N - 1), N - 1)[:, leads])
@@ -221,10 +219,7 @@ class JacobianRing:
 
     def hilbert(self, k: int) -> int:
         """dim R^k = dim S^k - dim J^k."""
-        if k < 0:
-            return 0
-        data = self._degree_data(k)
-        return len(data.complement)
+        return len(self._degree_data(k).complement)
 
     def quotient_basis(self, k: int) -> np.ndarray:
         """Monomial indices of the canonical complement basis of R^k."""
@@ -235,7 +230,7 @@ class JacobianRing:
         V = np.atleast_2d(np.asarray(V, dtype=np.int64))
         data = self._degree_data(k)
         p = self.X.p
-        if data.rref is None or len(data.pivots) == 0:
+        if data.rref is None:
             return V[:, data.complement] % p
         red = (V - matmul_gfp(V[:, data.pivots], data.rref, p)) % p
         return red[:, data.complement]
@@ -251,8 +246,6 @@ class JacobianRing:
 
     def _certify(self) -> SmoothnessCertificate:
         sigma = self.X.socle_degree
-        if sigma < 0:
-            return SmoothnessCertificate(False, "socle degree negative (N < 2)")
         if self.monomial_path:
             above = self.hilbert(sigma + 1)
         else:
@@ -266,11 +259,15 @@ class JacobianRing:
             return SmoothnessCertificate(False, f"dim R^sigma = {top}, expected 1")
         return SmoothnessCertificate(False, f"dim R^(sigma+1) = {above}, expected 0")
 
-    def socle_index(self) -> int:
-        """Monomial index of the 1-dimensional socle basis of R^sigma."""
+    def require_smooth(self) -> None:
+        """The one smoothness gate of every computation that needs it."""
         cert = self.smoothness_certificate()
         if not cert.smooth:
-            raise NotSmoothError(cert.reason or "not certified smooth")
+            raise NotSmoothError(f"hypersurface not certified smooth: {cert.reason}")
+
+    def socle_index(self) -> int:
+        """Monomial index of the 1-dimensional socle basis of R^sigma."""
+        self.require_smooth()
         return int(self.quotient_basis(self.X.socle_degree)[0])
 
     def socle_functional(self) -> np.ndarray:
@@ -280,7 +277,7 @@ class JacobianRing:
         data = self._degree_data(sigma)
         u = np.zeros(dim_graded(self.X.n, sigma), dtype=np.int64)
         u[idx] = 1
-        if data.rref is not None and len(data.pivots):
+        if data.rref is not None:
             # coordinate after reduction: v[idx] - v[pivots] . rref[:, idx]
             u[data.pivots] = (-data.rref[:, idx]) % self.X.p
         return u
@@ -290,9 +287,7 @@ def hodge_numbers_prim(X: Hypersurface, ring: JacobianRing | None = None) -> Hod
     """Primitive Hodge numbers h^(d-p,p) = dim R^(N(p+1)-d-2) for p = 0..d,
     read off the complete-intersection series once the form is certified."""
     ring = ring or JacobianRing(X)
-    cert = ring.smoothness_certificate()
-    if not cert.smooth:
-        raise NotSmoothError(cert.reason or "not certified smooth")
+    ring.require_smooth()
     entries = []
     for p in range(X.d + 1):
         h = ci_hilbert(X.n, X.N, X.N * (p + 1) - X.d - 2)

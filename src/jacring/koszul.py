@@ -26,10 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jacobian import JacobianRing, NotSmoothError
+from .jacobian import JacobianRing
 from .modp import check_budget, rank_gfp
 from .polynomials import dim_graded, monomial_array, monomial_index
 from .spaces import GradedSubspace, bpf_check, multiplication_matrix
+
+
+BPF_SAMPLE_TRIES = 50
 
 
 class BpfSamplingError(RuntimeError):
@@ -66,18 +69,9 @@ def _comb_count(w: int, t: int) -> int:
     return math.comb(w, t)
 
 
-def _module_dim(k: int, n: int, ring: JacobianRing | None) -> int:
-    if k < 0:
-        return 0
-    return ring.hilbert(k) if ring is not None else dim_graded(n, k)
-
-
 def _mult_mats(W: GradedSubspace, k: int, ring: JacobianRing | None) -> list[np.ndarray]:
     """Multiplication by each W basis element as a matrix M^k -> M^(k+N)."""
-    n, p, N = W.n, W.p, W.degree
-    tgt = _module_dim(k + N, n, ring)
-    if k < 0:
-        return [np.zeros((tgt, 0), dtype=np.int64) for _ in range(W.dim)]
+    n, N = W.n, W.degree
     check_budget(dim_graded(n, k + N), dim_graded(n, k))
     mats = []
     for poly in W.polynomials():
@@ -183,9 +177,9 @@ def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulRepor
         fits = (E[_faces(w, t)].sum(1) <= alphas[:, None, :]).all(-1)
         return sum(rank_gfp(B[:, fit], p) for fit in fits if fit.any() and len(B))
 
-    dim_mid = _module_dim(a + N, n, None) * _comb_count(w, s)
-    shape_in = (dim_mid, _module_dim(a, n, None) * _comb_count(w, s + 1))
-    shape_out = (_module_dim(a + 2 * N, n, None) * _comb_count(w, s - 1), dim_mid)
+    dim_mid = dim_graded(n, a + N) * _comb_count(w, s)
+    shape_in = (dim_mid, dim_graded(n, a) * _comb_count(w, s + 1))
+    shape_out = (dim_graded(n, a + 2 * N) * _comb_count(w, s - 1), dim_mid)
     rank_in = strand_ranks(s + 1)
     kernel_out = dim_mid - strand_ranks(s)
     defect = kernel_out - rank_in
@@ -207,9 +201,7 @@ def middle_exactness(W: GradedSubspace, a: int, s: int,
 
 def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
                          rng: np.random.Generator,
-                         style: str = "dense",
-                         max_tries: int = 50,
-                         m_max: int | None = None) -> GradedSubspace:
+                         style: str = "dense") -> GradedSubspace:
     """Random codimension-c subsystem of S^N, certified base-point-free.
 
     style="dense" draws a random row space; style="monomial" keeps all
@@ -221,7 +213,7 @@ def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
         raise ValueError(f"codimension {codim} impossible in dim {D}")
     idx = monomial_index(n, N)
     pure = {idx[m] for m in ((0,) * i + (N,) + (0,) * (n - i - 1) for i in range(n))}
-    for _ in range(max_tries):
+    for _ in range(BPF_SAMPLE_TRIES):
         if style == "monomial":
             others = sorted(set(range(D)) - pure)
             if len(others) < codim:
@@ -238,10 +230,10 @@ def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
             W = GradedSubspace.from_rows(rows, n, p, N)
             if W.dim != D - codim:
                 continue
-        if bpf_check(W, m_max):
+        if bpf_check(W):
             return W
     raise BpfSamplingError(
-        f"no certified base-point-free W after {max_tries} tries "
+        f"no certified base-point-free W after {BPF_SAMPLE_TRIES} tries "
         f"(n={n}, N={N}, codim={codim})"
     )
 
@@ -329,9 +321,7 @@ def jacobian_koszul_check(ring: JacobianRing, W: GradedSubspace, p_index: int,
     X = ring.X
     if W.degree != X.N or W.n != X.n or W.p != X.p:
         raise ValueError("W must be a subspace of S^N for this hypersurface")
-    cert = ring.smoothness_certificate()
-    if not cert.smooth:
-        raise NotSmoothError(f"hypersurface not certified smooth: {cert.reason}")
+    ring.require_smooth()
     if not W.contains(ring.jacobian_piece(X.N)):
         raise ValueError("W must contain the degree-N piece of the Jacobian ideal")
     a = -X.d - 2 + X.N * p_index

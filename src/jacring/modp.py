@@ -12,6 +12,8 @@ from __future__ import annotations
 import bisect
 import math
 import os
+from functools import lru_cache
+
 import numpy as np
 
 DEFAULT_PRIME = 65521
@@ -48,6 +50,7 @@ def check_budget(rows: int, cols: int) -> None:
         )
 
 
+@lru_cache(maxsize=32)  # every Polynomial and GradedSubspace re-checks its modulus
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -114,18 +117,13 @@ def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
 
 
 def rank_gfp(M: np.ndarray, p: int) -> int:
-    if M.size == 0:
-        return 0
     _, pivots = _echelon(M, p, reduced=False)
     return len(pivots)
 
 
 def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; zero rows are dropped."""
-    A = np.asarray(M)
-    if A.size == 0:
-        return np.zeros((0, A.shape[1]), dtype=np.int64), []
-    E, pivots = _echelon(A, p, reduced=True)
+    E, pivots = _echelon(M, p, reduced=True)
     return E[: len(pivots)].astype(np.int64), pivots
 
 

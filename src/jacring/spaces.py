@@ -105,8 +105,6 @@ class GradedSubspace:
 
     def contains(self, other: "GradedSubspace") -> bool:
         self._check_mate(other)
-        if other.dim == 0:
-            return True
         stacked = np.vstack([self.basis, other.basis])
         return rank_gfp(stacked, self.p) == self.dim
 
@@ -144,8 +142,6 @@ def subspace_intersection(A: GradedSubspace, B: GradedSubspace) -> GradedSubspac
     the intersection in their right half."""
     A._check_mate(B)
     D = A.ambient_dim
-    if A.dim == 0 or B.dim == 0:
-        return GradedSubspace.zero(A.n, A.p, A.degree)
     top = np.hstack([A.basis, A.basis])
     bot = np.hstack([B.basis, np.zeros_like(B.basis)])
     R, _ = rref_gfp(np.vstack([top, bot]), A.p)
@@ -202,8 +198,7 @@ def colon_by_linear_forms(K: GradedSubspace) -> GradedSubspace:
     for i in range(n):
         Mi = multiplication_matrix(Polynomial.variable(i, n, p), K.degree - 1)
         blocks.append(matmul_gfp(N, Mi, p))
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, dim_graded(n, K.degree - 1)), dtype=np.int64)
-    rows = nullspace_gfp(stacked, p)
+    rows = nullspace_gfp(np.vstack(blocks), p)
     return GradedSubspace.from_rows(rows, n, p, K.degree - 1)
 
 

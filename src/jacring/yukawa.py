@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobian import JacobianRing, NotSmoothError
+from .jacobian import JacobianRing
 from .modp import matmul_gfp, nullspace_gfp, rank_gfp
 from .polynomials import dim_graded, product_index_table
 from .spaces import (
@@ -21,22 +21,13 @@ from .spaces import (
 )
 
 
-def _require_smooth(ring: JacobianRing) -> None:
-    cert = ring.smoothness_certificate()
-    if not cert.smooth:
-        raise NotSmoothError(cert.reason or "not certified smooth")
-
-
 def socle_pairing_rank(ring: JacobianRing, A: GradedSubspace, B: GradedSubspace) -> int:
     """Rank of the pairing A x B -> R^sigma induced by multiplication and
     projection to the one-dimensional socle."""
-    _require_smooth(ring)
+    ring.require_smooth()
     X = ring.X
-    sigma = X.socle_degree
-    if A.degree + B.degree != sigma:
+    if A.degree + B.degree != X.socle_degree:
         raise ValueError("degrees must sum to the socle degree")
-    if A.dim == 0 or B.dim == 0:
-        return 0
     u = ring.socle_functional()
     T = product_index_table(X.n, A.degree, B.degree)
     # P[i, j] = sum_{mu,nu} A[i,mu] B[j,nu] u[mu*nu]
@@ -55,19 +46,27 @@ def power_span(K: GradedSubspace, d: int) -> GradedSubspace:
     return out
 
 
-def yukawa_nonvanishing(ring: JacobianRing, K: GradedSubspace) -> bool:
-    """True iff the image of K^d in R^(d(d+2)) is nonzero, for N = d+2."""
+def _check_system(ring: JacobianRing, K: GradedSubspace) -> None:
+    """Calabi-Yau degree N = d+2, a smooth-certified form, and K in S^N
+    containing J^N."""
     X = ring.X
     if X.N != X.d + 2:
-        raise ValueError("non-vanishing check needs Calabi-Yau degree N = d+2")
-    if K.degree != X.d + 2:
+        raise ValueError(f"needs Calabi-Yau degree N = d+2, got d={X.d}, N={X.N}")
+    if K.degree != X.N:
         raise ValueError("K must sit in degree d+2")
-    _require_smooth(ring)
+    ring.require_smooth()
     if not K.contains(ring.jacobian_piece(X.N)):
         raise ValueError("K must contain the degree-N piece of the Jacobian ideal")
-    Kd = power_span(K, X.d)
-    image = ring.reduce(Kd.basis, X.socle_degree)
-    return bool(image.any())
+
+
+def _socle_image_nonzero(ring: JacobianRing, Kd: GradedSubspace) -> bool:
+    return bool(ring.reduce(Kd.basis, ring.X.socle_degree).any())
+
+
+def yukawa_nonvanishing(ring: JacobianRing, K: GradedSubspace) -> bool:
+    """True iff the image of K^d in R^(d(d+2)) is nonzero, for N = d+2."""
+    _check_system(ring, K)
+    return _socle_image_nonzero(ring, power_span(K, ring.X.d))
 
 
 @dataclass(frozen=True)
@@ -115,19 +114,15 @@ def yukawa_chain(ring: JacobianRing, K: GradedSubspace) -> YukawaChainReport:
     """Evaluate every step of the hyperplane chain with exact dimensions.
 
     Failing steps are reported, not fatal."""
+    _check_system(ring, K)
     X = ring.X
     d, N, n, p = X.d, X.N, X.n, X.p
-    if N != d + 2:
-        raise ValueError("chain needs Calabi-Yau degree N = d+2")
     if d < 2:
         raise ValueError(f"chain needs d >= 2, got d={d}: at d = 1 the socle "
                          "degree is N, so the only hyperplane K containing J^N "
                          "is J^N itself and its socle image is zero")
-    if K.degree != d + 2 or K.codim != 1:
+    if K.codim != 1:
         raise ValueError("K must be a hyperplane of S^(d+2)")
-    _require_smooth(ring)
-    if not K.contains(ring.jacobian_piece(N)):
-        raise ValueError("K must contain the degree-N piece of the Jacobian ideal")
 
     steps: list[ChainStep] = []
 
@@ -156,8 +151,7 @@ def yukawa_chain(ring: JacobianRing, K: GradedSubspace) -> YukawaChainReport:
     steps.append(ChainStep("power_full", f"dim {full_top}", Kd.dim,
                            Kd.dim == full_top))
 
-    image = ring.reduce(Kd.basis, X.socle_degree)
-    nonzero = bool(image.any())
+    nonzero = _socle_image_nonzero(ring, Kd)
     steps.append(ChainStep("socle_image_nonzero", "nonzero",
                            "nonzero" if nonzero else "zero", nonzero))
 

@@ -166,6 +166,8 @@ def test_prime_flag_and_env(monkeypatch):
     ({}, ["yukawa-chain", "--d", "1"], 2),
     ({}, ["koszul-check", "--d", "1", "--N", "3", "--fermat", "--p-index", "1",
           "--s", "0", "--codim", "-1"], 2),
+    ({}, ["sweep", "--d", "2", "--abelian", "--prime", "4"], 2),
+    ({"JACRING_PRIME": "abc"}, ["sweep", "--d", "2", "--abelian"], 2),
 ])
 def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
     for key, value in env.items():
@@ -201,8 +203,22 @@ def test_rejected_N_is_named(capsys, argv):
 @pytest.mark.parametrize("name", ["JACRING_PRIME", "JACRING_CELL_BUDGET"])
 def test_malformed_setting_is_named(monkeypatch, capsys, name):
     monkeypatch.setenv(name, "abc")
-    assert run_cli(["hilbert", "--d", "1", "--N", "3", "--fermat"]) == (2, "")
-    assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
+    for argv in (["hilbert", "--d", "1", "--N", "3", "--fermat"],
+                 ["sweep", "--d", "2", "--abelian"]):
+        assert run_cli(argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["green-scan", "--n", "2", "--N", "1"],  # default --codim 0..2, dim S^1 = 2
+    ["green-scan", "--n", "2", "--N", "2", "--codim", "0..3"],
+    ["green-scan", "--n", "2", "--N", "2", "--codim", "-1"],
+])
+def test_out_of_range_codim_is_named(capsys, argv):
+    # every codimension is checked before the first one is scanned
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--codim" in err, err
 
 
 def test_missing_subcommand_is_usage_error():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import P, P2, P_MAX
+from jacring import jacobian
 from jacring.jacobian import (
     HodgeVector,
     Hypersurface,
@@ -239,14 +240,15 @@ def test_random_smooth_reproducible():
     assert JacobianRing(a.X).smoothness_certificate().smooth
 
 
-def test_random_smooth_rejects_and_gives_up():
+def test_random_smooth_rejects_and_gives_up(monkeypatch):
     rng = np.random.default_rng(22)
     with pytest.raises(ValueError):
         random_smooth(1, 1, P, rng)  # no smooth form of degree 1 exists
     with pytest.raises(ValueError):
         random_smooth(1, 3, 3, rng)  # p divides N
+    monkeypatch.setattr(jacobian, "RANDOM_SMOOTH_TRIES", 0)
     with pytest.raises(NotSmoothError):
-        random_smooth(1, 3, P, rng, max_tries=0)
+        random_smooth(1, 3, P, rng)
 
 
 def _eliminated_certificate(X):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import P, P2, random_subspace
+from jacring import koszul
 from jacring.jacobian import JacobianRing, NotSmoothError, fermat, random_smooth
 from jacring.koszul import (
     BpfSamplingError,
@@ -106,15 +107,16 @@ def test_defect_nonnegative():
         assert rep.defect >= 0
 
 
-def test_sample_bpf_subsystem():
+def test_sample_bpf_subsystem(monkeypatch):
     rng = np.random.default_rng(25)
     W = sample_bpf_subsystem(3, 3, 2, P, rng)
     assert W.codim == 2 and bpf_check(W).verified
     M = sample_bpf_subsystem(3, 3, 2, P, rng, style="monomial")
     assert M.codim == 2 and M.is_monomial_spanned() and bpf_check(M).verified
+    monkeypatch.setattr(koszul, "BPF_SAMPLE_TRIES", 10)
     with pytest.raises(BpfSamplingError):
         # a codim-2 system in S^2 over 2 variables always has a base point
-        sample_bpf_subsystem(2, 2, 2, P, rng, max_tries=10)
+        sample_bpf_subsystem(2, 2, 2, P, rng)
 
 
 def test_green_scan_small():

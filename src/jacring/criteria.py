@@ -101,21 +101,16 @@ def genus_moduli_dim(g: int) -> int:
     return 1 if g == 1 else 3 * g - 3
 
 
-GENUS_N_CAP = 10_000
-
-
 def genus_threshold(d: int, g: int) -> int:
-    """Minimal degree N <= GENUS_N_CAP at which the r=1 criterion passes
-    against genus-g curves, found by upward scan."""
+    """Minimal degree N at which the r=1 criterion passes against genus-g
+    curves.  At r = 1, gamma = 0 and the two inequalities read N >= 2d+C+1
+    and N >= 2d+C, so the first one decides."""
     C = genus_moduli_dim(g)
-    for N in range(1, GENUS_N_CAP + 1):
-        if sweep_criterion(CriterionInput(d=d, N=N, r=1, C=C)).pass_:
-            return N
-    raise RuntimeError(f"no passing degree below {GENUS_N_CAP}")
+    return CriterionInput(d=d, N=2 * d + C + 1, r=1, C=C).N  # validates d
 
 
 def genus_threshold_closed_form(d: int, g: int) -> int:
-    """The closed form the scan is asserted against in the tests."""
+    """The closed form the threshold is asserted against in the tests."""
     return 2 * d + 2 if g == 1 else 2 * d - 2 + 3 * g
 
 

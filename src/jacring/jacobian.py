@@ -10,7 +10,8 @@ that series (`ci_hilbert`).
 
 Forms whose partial derivatives are all monomials (Fermat, notably) take a
 combinatorial path: the degree-k piece of the ideal is a span of monomials,
-so dimensions reduce to counting a union of shifted monomial sets.
+namely the monomials some partial divides, so no elimination is needed.
+Both paths store each degree in the same reduced form.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modp import check_budget, matmul_gfp, rank_gfp, rref_gfp
-from .polynomials import (
-    Polynomial,
-    dim_graded,
-    monomial_exponents,
-    monomial_index,
-    product_index_table,
-)
+from .polynomials import Polynomial, dim_graded, monomial_array, monomial_exponents
 from .spaces import GradedSubspace, multiplication_matrix
 
 
@@ -150,15 +145,17 @@ def hodge_level(H: HodgeVector) -> int:
 
 
 class _DegreeData:
-    """Per-degree reduction data: pivot monomials of J^k and the complement
-    monomials representing the quotient piece."""
+    """Per-degree reduction data: the pivot monomials of the RREF of J^k, the
+    complement monomials representing the quotient piece, and `tail`, the
+    RREF restricted to the complement columns.  Its other columns are the
+    identity on the pivots and zero elsewhere, so the tail loses nothing."""
 
-    __slots__ = ("pivots", "complement", "rref")
+    __slots__ = ("pivots", "complement", "tail")
 
-    def __init__(self, pivots: np.ndarray, complement: np.ndarray, rref: np.ndarray | None):
+    def __init__(self, pivots: np.ndarray, complement: np.ndarray, tail: np.ndarray):
         self.pivots = pivots          # sorted monomial indices spanning J^k leads
         self.complement = complement  # sorted monomial indices of the quotient basis
-        self.rref = rref              # RREF rows of J^k; None on the monomial path
+        self.tail = tail              # len(pivots) x len(complement); zero on the monomial path
 
 
 class JacobianRing:
@@ -187,22 +184,24 @@ class JacobianRing:
     def _degree_data(self, k: int) -> _DegreeData:
         if k in self._cache:
             return self._cache[k]
-        X = self.X
-        n, N = X.n, X.N
+        n, p = self.X.n, self.X.p
         D = dim_graded(n, k)
         if self.monomial_path:
-            idx = monomial_index(n, N - 1)
-            leads = [idx[m] for g in self.partials for m in g.terms]
-            piv = np.unique(product_index_table(n, k - (N - 1), N - 1)[:, leads])
-            mask = np.ones(D, dtype=bool)
-            mask[piv] = False
-            data = _DegreeData(piv, np.nonzero(mask)[0].astype(np.int64), None)
+            # J^k is spanned by the monomials that some partial's monomial divides
+            check_budget(D, n)
+            E = monomial_array(n, k)
+            lead = np.zeros(D, dtype=bool)
+            for g in self.partials:
+                (m,) = g.terms
+                lead |= (E >= np.array(m)).all(axis=1)
+            pivots, complement = np.flatnonzero(lead), np.flatnonzero(~lead)
+            tail = np.zeros((len(pivots), len(complement)), dtype=np.int64)
         else:
-            R, piv = rref_gfp(self._jacobian_rows(k), X.p)
-            piv = np.array(piv, dtype=np.int64)
-            mask = np.ones(D, dtype=bool)
-            mask[piv] = False
-            data = _DegreeData(piv, np.nonzero(mask)[0].astype(np.int64), R)
+            R, piv = rref_gfp(self._jacobian_rows(k), p)
+            pivots = np.array(piv, dtype=np.int64)
+            complement = np.setdiff1d(np.arange(D), pivots)
+            tail = R[:, complement]
+        data = _DegreeData(pivots, complement, tail)
         self._cache[k] = data
         return data
 
@@ -212,10 +211,12 @@ class JacobianRing:
             raise ValueError("k must be >= 0")
         data = self._degree_data(k)
         n, p = self.X.n, self.X.p
-        if data.rref is not None:
-            return GradedSubspace(n, p, k, data.rref, tuple(int(c) for c in data.pivots))
-        check_budget(len(data.pivots), dim_graded(n, k))
-        return GradedSubspace.span_of_monomials(data.pivots, n, p, k)
+        D = dim_graded(n, k)
+        check_budget(len(data.pivots), D)
+        basis = np.zeros((len(data.pivots), D), dtype=np.int64)
+        basis[np.arange(len(data.pivots)), data.pivots] = 1
+        basis[:, data.complement] = data.tail
+        return GradedSubspace(n, p, k, basis, tuple(int(c) for c in data.pivots))
 
     def hilbert(self, k: int) -> int:
         """dim R^k = dim S^k - dim J^k."""
@@ -226,14 +227,14 @@ class JacobianRing:
         return self._degree_data(k).complement
 
     def reduce(self, V: np.ndarray, k: int) -> np.ndarray:
-        """Coordinates of row vectors of S^k on the R^k complement basis."""
+        """Coordinates of row vectors of S^k on the R^k complement basis:
+        v[complement] - v[pivots] . tail, over the pivots with a nonzero tail
+        row (the others contribute nothing)."""
         V = np.atleast_2d(np.asarray(V, dtype=np.int64))
         data = self._degree_data(k)
-        p = self.X.p
-        if data.rref is None:
-            return V[:, data.complement] % p
-        red = (V - matmul_gfp(V[:, data.pivots], data.rref, p)) % p
-        return red[:, data.complement]
+        live = np.flatnonzero(data.tail.any(axis=1))
+        red = matmul_gfp(V[:, data.pivots[live]], data.tail[live], self.X.p)
+        return (V[:, data.complement] - red) % self.X.p
 
     # -- certification and Hodge data ---------------------------------------
 
@@ -271,15 +272,14 @@ class JacobianRing:
         return int(self.quotient_basis(self.X.socle_degree)[0])
 
     def socle_functional(self) -> np.ndarray:
-        """Linear functional on S^sigma computing the socle coordinate."""
+        """Linear functional on S^sigma computing the socle coordinate:
+        v[socle] - v[pivots] . tail[:, 0]."""
         sigma = self.X.socle_degree
         idx = self.socle_index()
         data = self._degree_data(sigma)
         u = np.zeros(dim_graded(self.X.n, sigma), dtype=np.int64)
         u[idx] = 1
-        if data.rref is not None:
-            # coordinate after reduction: v[idx] - v[pivots] . rref[:, idx]
-            u[data.pivots] = (-data.rref[:, idx]) % self.X.p
+        u[data.pivots] = (-data.tail[:, 0]) % self.X.p
         return u
 
 

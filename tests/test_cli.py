@@ -81,6 +81,11 @@ def test_sweep_genus_threshold():
                          "--find-threshold"])
     assert code == 0
     assert json.loads(out)["N_min"] == 10
+    # the threshold is solved, not scanned, so no degree is out of reach
+    code, out = run_cli(["sweep", "--d", "10000", "--genus", "5000",
+                         "--find-threshold"])
+    assert code == 0
+    assert json.loads(out)["N_min"] == 34998
 
 
 def test_green_scan_small():
@@ -209,6 +214,16 @@ def test_malformed_setting_is_named(monkeypatch, capsys, name):
         assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("form", [
+    ["--fermat"],                           # monomial path
+    ["--f", "x0^3+x1^3+x2^3+x0*x1*x2"],     # elimination path
+])
+def test_budget_binds_both_ring_paths(monkeypatch, capsys, form):
+    monkeypatch.setenv("JACRING_CELL_BUDGET", "1000")
+    assert run_cli(["hilbert", "--d", "1", "--N", "3", "--k", "40"] + form) == (3, "")
+    assert capsys.readouterr().err.startswith("size budget exceeded: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["green-scan", "--n", "2", "--N", "1"],  # default --codim 0..2, dim S^1 = 2
     ["green-scan", "--n", "2", "--N", "2", "--codim", "0..3"],
@@ -247,6 +262,16 @@ def test_acceptance8_outputs_match_goldens():
     goldens = json.loads((Path(__file__).parent / "goldens" / "acceptance8-cli.json")
                          .read_text())
     assert len(goldens) == 10
+    for rec in goldens:
+        assert run_cli(rec["argv"]) == (rec["exit_code"], rec["stdout"]), rec["argv"]
+
+
+def test_ring_paths_outputs_match_goldens():
+    # Koszul checks over both ring paths, a monomial-path Hilbert function
+    # and the degenerate Yukawa socle image, at 65521 and 32003
+    goldens = json.loads((Path(__file__).parent / "goldens" / "ring-paths-cli.json")
+                         .read_text())
+    assert len(goldens) == 12
     for rec in goldens:
         assert run_cli(rec["argv"]) == (rec["exit_code"], rec["stdout"]), rec["argv"]
 

@@ -80,6 +80,16 @@ def test_genus_threshold_closed_form():
             assert genus_threshold(d, g) == genus_threshold_closed_form(d, g)
 
 
+def test_genus_threshold_is_sharp():
+    # the r=1 criterion passes at N_min and fails one degree below it
+    grid = [(d, g) for d in (1, 2, 3, 7, 50) for g in (1, 2, 5, 40)] + [(10000, 5000)]
+    for d, g in grid:
+        C = genus_moduli_dim(g)
+        N = genus_threshold(d, g)
+        assert sweep_criterion(CriterionInput(d=d, N=N, r=1, C=C)).pass_, (d, g)
+        assert not sweep_criterion(CriterionInput(d=d, N=N - 1, r=1, C=C)).pass_, (d, g)
+
+
 def test_per_i_sequences():
     assert [gamma_i(5, i) + i for i in range(1, 6)] == [3, 4, 4, 5, 5]
     seq = [10 + 4 - 5 - i for i in range(1, 6)]

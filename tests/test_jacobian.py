@@ -17,6 +17,7 @@ from jacring.jacobian import (
     jacobian_generators,
     random_smooth,
 )
+from jacring.modp import matmul_gfp, rref_gfp
 from jacring.polynomials import Polynomial, dim_graded, monomial_exponents, parse_polynomial
 from jacring.spaces import GradedSubspace
 
@@ -135,6 +136,55 @@ def test_jacobian_piece_matches_polynomial_products(p):
             got = ring.jacobian_piece(k)
             assert got.pivots == want.pivots, (seed, p, k)
             assert np.array_equal(got.basis, want.basis), (seed, p, k)
+
+
+def _differential_forms(p):
+    """(tag, ring, smooth) over Fermat, monomial-path forms whose partials
+    are not pure powers, and random dense forms."""
+    for d, N in [(1, 3), (1, 4), (2, 3)]:
+        yield f"fermat d={d} N={N}", JacobianRing(fermat(d, N, p)), True
+    for d, text in [(1, "x0^2*x1 + x2^3"), (2, "x0^2*x1 + x2^3 + x3^3")]:
+        X = Hypersurface(parse_polynomial(text, d + 2, p), d, 3)
+        yield text, JacobianRing(X), False
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        n, N = [(3, 3), (3, 4), (4, 3)][seed]
+        terms = {m: int(rng.integers(0, p)) for m in monomial_exponents(n, N)}
+        X = Hypersurface(Polynomial(n, p, terms), n - 2, N)
+        yield f"dense seed={seed}", JacobianRing(X), True
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_degree_data_matches_elimination(p):
+    # both ring paths against an RREF of the J^k rows, degree by degree
+    v_seed = 23
+    rng = np.random.default_rng(v_seed)
+    paths = set()
+    for tag, ring, smooth in _differential_forms(p):
+        paths.add(ring.monomial_path)
+        sigma = ring.X.socle_degree
+        for k in range(-1, sigma + 2):
+            msg = (tag, f"v_seed={v_seed}", p, k)
+            D = dim_graded(ring.X.n, k)
+            R, piv = rref_gfp(ring._jacobian_rows(k), p)
+            complement = np.setdiff1d(np.arange(D), piv)
+            assert np.array_equal(ring.quotient_basis(k), complement), msg
+            if k >= 0:
+                J = ring.jacobian_piece(k)
+                assert J.pivots == tuple(piv), msg
+                assert np.array_equal(J.basis, R), msg
+            else:
+                with pytest.raises(ValueError):
+                    ring.jacobian_piece(k)
+            V = rng.integers(0, p, size=(5, D), dtype=np.int64)
+            want = ((V - matmul_gfp(V[:, piv], R, p)) % p)[:, complement]
+            assert np.array_equal(ring.reduce(V, k), want), msg
+            if smooth and k == sigma:
+                assert ring.smoothness_certificate().smooth, msg
+                u = ring.socle_functional()
+                assert np.array_equal(matmul_gfp(V, u[:, None], p)[:, 0], want[:, 0]), msg
+                assert not matmul_gfp(R, u[:, None], p).any(), msg
+    assert paths == {True, False}
 
 
 def test_smoothness_certificates():

@@ -147,15 +147,18 @@ def hodge_level(H: HodgeVector) -> int:
 class _DegreeData:
     """Per-degree reduction data: the pivot monomials of the RREF of J^k, the
     complement monomials representing the quotient piece, and `tail`, the
-    RREF restricted to the complement columns.  Its other columns are the
+    RREF rows `live` (positions in `pivots`) restricted to the complement
+    columns.  The other rows restrict to zero there, and every row is the
     identity on the pivots and zero elsewhere, so the tail loses nothing."""
 
-    __slots__ = ("pivots", "complement", "tail")
+    __slots__ = ("pivots", "complement", "live", "tail")
 
-    def __init__(self, pivots: np.ndarray, complement: np.ndarray, tail: np.ndarray):
+    def __init__(self, pivots: np.ndarray, complement: np.ndarray,
+                 live: np.ndarray, tail: np.ndarray):
         self.pivots = pivots          # sorted monomial indices spanning J^k leads
         self.complement = complement  # sorted monomial indices of the quotient basis
-        self.tail = tail              # len(pivots) x len(complement); zero on the monomial path
+        self.live = live              # rows of the RREF with a nonzero tail; none on the monomial path
+        self.tail = tail              # len(live) x len(complement)
 
 
 class JacobianRing:
@@ -195,13 +198,16 @@ class JacobianRing:
                 (m,) = g.terms
                 lead |= (E >= np.array(m)).all(axis=1)
             pivots, complement = np.flatnonzero(lead), np.flatnonzero(~lead)
-            tail = np.zeros((len(pivots), len(complement)), dtype=np.int64)
+            live = np.zeros(0, dtype=np.int64)
+            tail = np.zeros((0, len(complement)), dtype=np.int64)
         else:
             R, piv = rref_gfp(self._jacobian_rows(k), p)
             pivots = np.array(piv, dtype=np.int64)
             complement = np.setdiff1d(np.arange(D), pivots)
             tail = R[:, complement]
-        data = _DegreeData(pivots, complement, tail)
+            live = np.flatnonzero(tail.any(axis=1))
+            tail = tail[live]
+        data = _DegreeData(pivots, complement, live, tail)
         self._cache[k] = data
         return data
 
@@ -215,7 +221,7 @@ class JacobianRing:
         check_budget(len(data.pivots), D)
         basis = np.zeros((len(data.pivots), D), dtype=np.int64)
         basis[np.arange(len(data.pivots)), data.pivots] = 1
-        basis[:, data.complement] = data.tail
+        basis[np.ix_(data.live, data.complement)] = data.tail
         return GradedSubspace(n, p, k, basis, tuple(int(c) for c in data.pivots))
 
     def hilbert(self, k: int) -> int:
@@ -228,12 +234,10 @@ class JacobianRing:
 
     def reduce(self, V: np.ndarray, k: int) -> np.ndarray:
         """Coordinates of row vectors of S^k on the R^k complement basis:
-        v[complement] - v[pivots] . tail, over the pivots with a nonzero tail
-        row (the others contribute nothing)."""
+        v[complement] - v[pivots[live]] . tail."""
         V = np.atleast_2d(np.asarray(V, dtype=np.int64))
         data = self._degree_data(k)
-        live = np.flatnonzero(data.tail.any(axis=1))
-        red = matmul_gfp(V[:, data.pivots[live]], data.tail[live], self.X.p)
+        red = matmul_gfp(V[:, data.pivots[data.live]], data.tail, self.X.p)
         return (V[:, data.complement] - red) % self.X.p
 
     # -- certification and Hodge data ---------------------------------------
@@ -273,13 +277,13 @@ class JacobianRing:
 
     def socle_functional(self) -> np.ndarray:
         """Linear functional on S^sigma computing the socle coordinate:
-        v[socle] - v[pivots] . tail[:, 0]."""
+        v[socle] - v[pivots[live]] . tail[:, 0]."""
         sigma = self.X.socle_degree
         idx = self.socle_index()
         data = self._degree_data(sigma)
         u = np.zeros(dim_graded(self.X.n, sigma), dtype=np.int64)
         u[idx] = 1
-        u[data.pivots] = (-data.tail[:, 0]) % self.X.p
+        u[data.pivots[data.live]] = (-data.tail[:, 0]) % self.X.p
         return u
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,14 @@ def test_budget_binds_both_ring_paths(monkeypatch, capsys, form):
     monkeypatch.setenv("JACRING_CELL_BUDGET", "1000")
     assert run_cli(["hilbert", "--d", "1", "--N", "3", "--k", "40"] + form) == (3, "")
     assert capsys.readouterr().err.startswith("size budget exceeded: ")
+
+
+def test_singular_monomial_path_keeps_no_zero_tail():
+    # x0^3 is singular, so R^60 is large: 77531 complement monomials against
+    # 557845 pivots, whose zero tail rows the ring must not allocate
+    code, out = run_cli(["hilbert", "--d", "3", "--N", "3", "--f", "x0^3", "--k", "60"])
+    assert code == 0
+    assert json.loads(out)["hilbert"] == [[60, math.comb(63, 3) + math.comb(62, 3)]]
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,15 @@ Two evaluation paths compute the same defect:
   defect is then a sum of ranks of small simplicial boundary matrices.
   This is what makes the larger scan grids tractable.
 
+  Most strands need no elimination.  If a vertex v is a cone point of
+  Delta_alpha through faces of size t-1 (T | {v} fits for every fitting
+  T of size < t without v), then T -> +-(T | {v}) is a contracting
+  homotopy of the augmented chain complex at C_(t-1)..C_0.  Exactness
+  there gives rank d_t = f_(t-1) - f_(t-2) + ... +- f_0, with f_k the
+  number of fitting k-faces and f_0 = 1.  The identity is one-sided: a
+  strand without a cone point may still be exact, and is ranked by
+  elimination.
+
 Both paths take their signs from one simplex boundary, `_simplex_boundary`.
 """
 
@@ -82,10 +91,13 @@ def _mult_mats(W: GradedSubspace, k: int, ring: JacobianRing | None) -> list[np.
     return mats
 
 
+@lru_cache(maxsize=None)
 def _faces(w: int, t: int) -> np.ndarray:
     """The t-subsets of range(w) in lexicographic order, one per row."""
-    return np.array(list(itertools.combinations(range(w), t)),
-                    dtype=np.int64).reshape(_comb_count(w, t), t)
+    F = np.array(list(itertools.combinations(range(w), t)),
+                 dtype=np.int64).reshape(_comb_count(w, t), t)
+    F.setflags(write=False)
+    return F
 
 
 @lru_cache(maxsize=None)
@@ -155,12 +167,49 @@ def report_from_slice(sl: KoszulSlice) -> KoszulReport:
 # -- multidegree fast path ---------------------------------------------------
 
 
-def _boundary_matrix(w: int, t: int, p: int) -> np.ndarray:
-    """Dense simplex boundary from t-subsets to (t-1)-subsets of range(w)."""
+@lru_cache(maxsize=None)
+def _boundary_matrix(w: int, t: int) -> np.ndarray:
+    """Dense simplex boundary from t-subsets to (t-1)-subsets of range(w),
+    entries 0 and +-1 (the elimination reduces them mod p)."""
     tgt, src, _, sign = _simplex_boundary(w, t)
-    B = np.zeros((_comb_count(w, t - 1), _comb_count(w, t)), dtype=np.int64)
-    B[tgt, src] = sign % p
+    B = np.zeros((_comb_count(w, t - 1), _comb_count(w, t)), dtype=np.int8)
+    B[tgt, src] = sign
+    B.setflags(write=False)
     return B
+
+
+def _face_fits(E: np.ndarray, alphas: np.ndarray, top: int) -> list[np.ndarray]:
+    """fits[k][alpha, i] for k = 0..top: the i-th k-face (as in `_faces`) of
+    the generators with exponent rows E fits, i.e. its exponents sum to at
+    most alpha.  The empty face always fits."""
+    w = len(E)
+    return [(E[_faces(w, k)].sum(1) <= alphas[:, None, :]).all(-1)
+            for k in range(top + 1)]
+
+
+def _cones(fits: list[np.ndarray], w: int) -> list[np.ndarray]:
+    """cones[t][alpha]: Delta_alpha has a cone point v through faces of size
+    t-1, i.e. T | {v} fits for every fitting face T of size < t without v."""
+    ok = np.ones((len(fits[0]), w), dtype=bool)
+    cones = [ok.any(1)]
+    for k in range(len(fits) - 1):
+        # the pairs (T, T | {v}) are the nonzeros (tgt, src, v) of the boundary
+        tgt, src, j, _ = _simplex_boundary(w, k + 1)
+        for v in range(w):
+            at = j == v
+            ok[:, v] &= (fits[k + 1][:, src[at]] | ~fits[k][:, tgt[at]]).all(1)
+        cones.append(ok.any(1))
+    return cones
+
+
+def _cone_ranks(fits: list[np.ndarray], t: int) -> np.ndarray:
+    """Rank of the boundary on the t-faces of each Delta_alpha, valid where
+    `_cones(fits, w)[t]` holds: f_(t-1) - f_(t-2) + ... +- f_0, where f_k
+    counts the fitting k-faces (see the module docstring)."""
+    ranks = np.zeros(len(fits[0]), dtype=np.int64)
+    for k in range(t):
+        ranks = fits[k].sum(1) - ranks  # exact at C_k: rank d_(k+1) = f_k - rank d_k
+    return ranks
 
 
 def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulReport:
@@ -169,13 +218,16 @@ def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulRepor
     n, p, N = W.n, W.p, W.degree
     w = W.dim
     E = monomial_array(n, N)[list(W.pivots)]
-    alphas = monomial_array(n, a + (s + 1) * N)
+    fits = _face_fits(E, monomial_array(n, a + (s + 1) * N), s + 1)
+    cones = _cones(fits, w)
 
     def strand_ranks(t: int) -> int:
-        """Sum over alpha of the rank of the boundary on the t-faces of Delta_alpha."""
-        B = _boundary_matrix(w, t, p)
-        fits = (E[_faces(w, t)].sum(1) <= alphas[:, None, :]).all(-1)
-        return sum(rank_gfp(B[:, fit], p) for fit in fits if fit.any() and len(B))
+        """Sum over alpha of the rank of the boundary on the t-faces of
+        Delta_alpha: counted for the cones, eliminated for the others."""
+        B = _boundary_matrix(w, t)
+        derived = int(_cone_ranks(fits, t)[cones[t]].sum())
+        return derived + sum(rank_gfp(B[:, fit], p)
+                             for fit in fits[t][~cones[t]] if fit.any())
 
     dim_mid = dim_graded(n, a + N) * _comb_count(w, s)
     shape_in = (dim_mid, dim_graded(n, a) * _comb_count(w, s + 1))

@@ -93,24 +93,23 @@ def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        support = c + np.nonzero(A[r, c:])[0]
+        support = c + A[r, c:].nonzero()[0]
         inv = inv_mod(int(A[r, c]), p)
         A[r, support] = (A[r, support] * inv) % p
         if reduced:
-            others = np.nonzero(A[:, c])[0]
+            others = A[:, c].nonzero()[0]
             others = others[others != r]
         else:
-            below = np.nonzero(A[r + 1:, c])[0]
-            others = below + r + 1
+            others = r + 1 + A[r + 1:, c].nonzero()[0]
         if others.size:
-            block = np.ix_(others, support)
-            A[block] = (A[block] - np.outer(A[others, c], A[r, support])) % p
+            at = others[:, None]
+            A[at, support] = (A[at, support] - A[at, c] * A[r, support]) % p
         pivots.append(c)
         r += 1
     return A, pivots

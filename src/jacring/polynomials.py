@@ -52,7 +52,24 @@ def monomial_index(n: int, k: int) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def monomial_array(n: int, k: int) -> np.ndarray:
-    return np.array(monomial_exponents(n, k), dtype=np.int64).reshape(-1, n)
+    """The rows of `monomial_exponents(n, k)`, computed without its tuples.
+
+    The degree-r monomials in x_i..x_(n-1) come in blocks j = 0..r with
+    x_i^(r-j), and block j starts at dim_graded(n-i, j-1) whatever r is, so
+    one search per variable reads the exponent of x_i off each row's rank."""
+    D = dim_graded(n, k)
+    E = np.empty((D, n), dtype=np.int64)
+    rest = np.full(D, k, dtype=np.int64)   # degree left for x_i..x_(n-1)
+    rank = np.arange(D, dtype=np.int64)    # rank among rows agreeing on x_0..x_(i-1)
+    for i in range(n - 1):
+        starts = np.array([dim_graded(n - i, j - 1) for j in range(k + 1)],
+                          dtype=np.int64)
+        j = np.searchsorted(starts, rank, side="right") - 1
+        E[:, i] = rest - j
+        rank -= starts[j]
+        rest = j
+    E[:, -1] = rest
+    return E
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import P, P2, random_subspace
+from conftest import P, P2, P_MAX, random_subspace
 from jacring import koszul
 from jacring.jacobian import JacobianRing, NotSmoothError, fermat, random_smooth
 from jacring.koszul import (
@@ -16,7 +16,7 @@ from jacring.koszul import (
     sample_bpf_subsystem,
 )
 from jacring.modp import SizeBudgetError, matmul_gfp, rank_gfp
-from jacring.polynomials import dim_graded
+from jacring.polynomials import dim_graded, monomial_array
 from jacring.spaces import GradedSubspace, bpf_check, product_span
 from jacring.yukawa import power_span
 
@@ -97,6 +97,40 @@ def test_monomial_path_matches_generic():
                    (slow.rank_in, slow.kernel_out, slow.defect), case
             assert fast.shape_in == slow.shape_in, case
             assert fast.shape_out == slow.shape_out, case
+
+
+def _cone_cases(rng):
+    """Random monomial systems (n, N, keep, a, s) with a <= 4 and s <= 3,
+    then systems of one and two generators, where t runs past w."""
+    for _ in range(12):
+        n = int(rng.integers(2, 4))
+        N = int(rng.integers(1, 4))
+        D = dim_graded(n, N)
+        keep = sorted(int(k) for k in
+                      rng.choice(D, size=int(rng.integers(1, min(D, 7) + 1)), replace=False))
+        yield n, N, keep, int(rng.integers(-1, 5)), int(rng.integers(0, 4))
+    yield 2, 2, [1], 2, 3
+    yield 3, 2, [0, 4], 3, 3
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_cone_ranks_match_elimination(p):
+    seed = 41
+    coned = unconed = 0
+    for n, N, keep, a, s in _cone_cases(np.random.default_rng(seed)):
+        W = GradedSubspace.span_of_monomials(keep, n, p, N)
+        E = monomial_array(n, N)[list(W.pivots)]
+        fits = koszul._face_fits(E, monomial_array(n, a + (s + 1) * N), s + 1)
+        cones = koszul._cones(fits, W.dim)
+        for t in range(s + 2):
+            B = koszul._boundary_matrix(W.dim, t)
+            derived = koszul._cone_ranks(fits, t)
+            for i in np.flatnonzero(cones[t]):
+                case = f"seed {seed}, p {p}, n {n}, N {N}, keep {keep}, a {a}, s {s}, t {t}, alpha {i}"
+                assert derived[i] == rank_gfp(B[:, fits[t][i]], p), case
+            coned += int(cones[t].sum())
+            unconed += int((~cones[t] & fits[t].any(1)).sum())
+    assert coned and unconed, f"seed {seed}, p {p}: {coned} coned, {unconed} not"
 
 
 def test_defect_nonnegative():

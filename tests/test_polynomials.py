@@ -44,6 +44,14 @@ def test_monomial_basis_counts():
     monomial_index.cache_clear()
 
 
+def test_monomial_array_matches_exponents():
+    for n in range(1, 7):
+        for k in range(-2, 13):
+            expected = np.array(monomial_exponents(n, k), dtype=np.int64).reshape(-1, n)
+            A = monomial_array(n, k)
+            assert A.dtype == np.int64 and np.array_equal(A, expected), (n, k)
+
+
 def test_product_index_table():
     n, a, b = 3, 2, 3
     T = product_index_table(n, a, b)

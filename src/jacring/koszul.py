@@ -14,14 +14,34 @@ Two evaluation paths compute the same defect:
   defect is then a sum of ranks of small simplicial boundary matrices.
   This is what makes the larger scan grids tractable.
 
-  Most strands need no elimination.  If a vertex v is a cone point of
+  Almost no strand needs elimination.  If a vertex v is a cone point of
   Delta_alpha through faces of size t-1 (T | {v} fits for every fitting
   T of size < t without v), then T -> +-(T | {v}) is a contracting
   homotopy of the augmented chain complex at C_(t-1)..C_0.  Exactness
   there gives rank d_t = f_(t-1) - f_(t-2) + ... +- f_0, with f_k the
   number of fitting k-faces and f_0 = 1.  The identity is one-sided: a
-  strand without a cone point may still be exact, and is ranked by
-  elimination.
+  strand without a cone point may still be exact.
+
+  The other strands are reduced by matchings that keep the rank exactly
+  (structured Gaussian elimination, LaMacchia-Odlyzko 1990; as acyclic
+  matchings of discrete Morse theory, Forman 1998).  The cone filter is
+  the matching that empties a strand, and it runs first because it is
+  vectorized over all alpha.  Each strand is assembled sparsely, from the
+  nonzeros of `_simplex_boundary` on its fitting t-faces.
+  - t = 2: d_2 is the signed incidence matrix of the graph of fitting
+    vertices and edges, so its rank is f_1 minus the number of components,
+    the number of edges in a spanning forest.
+  - t = 3, forest rows: im d_3 lies in ker d_2, and a 1-cycle supported on
+    a forest is zero, so no nonzero element of im d_3 vanishes outside a
+    spanning forest's edges.  Deleting those rows of d_3 keeps its rank.
+  - singleton peeling: the nonzero of a row or column with one nonzero is
+    a unit, and clears the rest of its column or row by elementary
+    operations.  So it adds 1 to the rank, and its row and column can be
+    deleted.  Once the forest rows are gone most triangles keep one edge,
+    and peeling usually empties the strand.  It cannot empty the triangles
+    of an acyclic 2-complex that is not collapsible, such as the dunce hat,
+    since a full matching would be a discrete gradient with one critical
+    vertex.  Only what is left, the core, is eliminated.
 
 Both paths take their signs from one simplex boundary, `_simplex_boundary`.
 """
@@ -167,14 +187,13 @@ def report_from_slice(sl: KoszulSlice) -> KoszulReport:
 # -- multidegree fast path ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _boundary_matrix(w: int, t: int) -> np.ndarray:
     """Dense simplex boundary from t-subsets to (t-1)-subsets of range(w),
-    entries 0 and +-1 (the elimination reduces them mod p)."""
+    entries 0 and +-1 (the elimination reduces them mod p); the reference
+    the strand reductions are tested against."""
     tgt, src, _, sign = _simplex_boundary(w, t)
     B = np.zeros((_comb_count(w, t - 1), _comb_count(w, t)), dtype=np.int8)
     B[tgt, src] = sign
-    B.setflags(write=False)
     return B
 
 
@@ -183,8 +202,15 @@ def _face_fits(E: np.ndarray, alphas: np.ndarray, top: int) -> list[np.ndarray]:
     the generators with exponent rows E fits, i.e. its exponents sum to at
     most alpha.  The empty face always fits."""
     w = len(E)
-    return [(E[_faces(w, k)].sum(1) <= alphas[:, None, :]).all(-1)
-            for k in range(top + 1)]
+    fits = []
+    for k in range(top + 1):
+        check_budget(len(alphas), _comb_count(w, k))
+        sums = E[_faces(w, k)].sum(1)
+        fit = np.ones((len(alphas), len(sums)), dtype=bool)
+        for i in range(E.shape[1]):  # one variable at a time: no alpha x face x variable array
+            fit &= sums[:, i] <= alphas[:, i, None]
+        fits.append(fit)
+    return fits
 
 
 def _cones(fits: list[np.ndarray], w: int) -> list[np.ndarray]:
@@ -212,6 +238,108 @@ def _cone_ranks(fits: list[np.ndarray], t: int) -> np.ndarray:
     return ranks
 
 
+def _forest(edge_fits: np.ndarray, w: int) -> np.ndarray:
+    """forest[alpha, e]: the e-th edge (as in `_faces(w, 2)`) lies in one
+    spanning forest of the fitting edges of Delta_alpha.
+
+    Every vertex starts with its own label and takes the least label of its
+    neighbours until no label falls, so each component ends on its least
+    vertex.  A vertex keeps the edge to the neighbour it last took its label
+    from.  That neighbour held the label a round earlier, so following the
+    kept edges strictly lowers the round in which a vertex reached its final
+    label: they close no cycle, and every vertex but the least of each
+    component keeps one."""
+    m = len(edge_fits)
+    check_budget(m, w * w)
+    ends = _faces(w, 2)
+    index = np.zeros((w, w), dtype=np.int64)
+    index[ends[:, 0], ends[:, 1]] = index[ends[:, 1], ends[:, 0]] = np.arange(len(ends))
+    adjacent = np.zeros((m, w, w), dtype=bool)
+    adjacent[:, ends[:, 0], ends[:, 1]] = adjacent[:, ends[:, 1], ends[:, 0]] = edge_fits
+    label = np.tile(np.arange(w), (m, 1))
+    parent = np.full((m, w), -1)
+    while True:
+        offered = np.where(adjacent, label[:, None, :], w)
+        via = offered.argmin(-1)
+        least = np.take_along_axis(offered, via[..., None], -1)[..., 0]
+        falls = least < label
+        if not falls.any():
+            break
+        label = np.where(falls, least, label)
+        parent = np.where(falls, via, parent)
+    forest = np.zeros(edge_fits.shape, dtype=bool)
+    alpha, v = np.nonzero(parent >= 0)
+    forest[alpha, index[v, parent[alpha, v]]] = True
+    return forest
+
+
+def _peel(rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Singleton peeling of the nonzero pattern (rows[i], cols[i]) of a
+    matrix whose nonzeros are units: a row or column with one nonzero adds 1
+    to the rank, and goes together with that nonzero's column or row.
+    Returns the number of such pairs and the mask of the nonzeros left."""
+    left = np.ones(len(rows), dtype=bool)
+    pairs = 0
+    while True:
+        r, c = rows[left], cols[left]
+        single = np.flatnonzero((np.bincount(r) == 1)[r] | (np.bincount(c) == 1)[c])
+        if not single.size:
+            return pairs, left
+        # one pair per row and per column; a singleton row and a singleton
+        # column share a line only at the same nonzero
+        single = single[np.unique(r[single], return_index=True)[1]]
+        single = single[np.unique(c[single], return_index=True)[1]]
+        pairs += single.size
+        dead_rows = np.zeros(rows.max() + 1, dtype=bool)
+        dead_cols = np.zeros(cols.max() + 1, dtype=bool)
+        dead_rows[r[single]] = dead_cols[c[single]] = True
+        left &= ~(dead_rows[rows] | dead_cols[cols])
+
+
+def _strand_nonzeros(fits: list[np.ndarray], t: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, signs) of the boundaries on the t-faces of the strands
+    in the rows i of `fits`: the (t-1)-face f of strand i is row
+    i*C(w, t-1) + f, the fitting t-faces are the columns in order, and at
+    t = 3 the rows of a spanning forest are left out."""
+    w = fits[1].shape[1]
+    tgt, _, _, sign = _simplex_boundary(w, t)
+    strand, col = np.nonzero(fits[t])
+    rows = tgt.reshape(-1, t)[col]
+    keep = np.ones(rows.shape, dtype=bool)
+    if t == 3:
+        keep = ~_forest(fits[2], w)[strand[:, None], rows]
+    rows += strand[:, None] * _comb_count(w, t - 1)
+    cols = np.broadcast_to(np.arange(len(col))[:, None], rows.shape)
+    signs = np.broadcast_to(sign[:t].astype(np.int8), rows.shape)
+    return rows[keep], cols[keep], signs[keep]
+
+
+def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
+    """Sum over the rows alpha of `fits` (the face fits for k = 0..t) of the
+    rank of the boundary on the t-faces of Delta_alpha, by the forest and
+    peeling identities of the module docstring; only what peeling leaves is
+    eliminated, one strand at a time."""
+    if t == 2:
+        return int(_forest(fits[2], fits[1].shape[1]).sum())
+    rows, cols, signs = _strand_nonzeros(fits, t)
+    rank, core = _peel(rows, cols)
+    rows, cols, signs = rows[core], cols[core], signs[core]
+    height = _comb_count(fits[1].shape[1], t - 1)
+    for i in np.flatnonzero(np.bincount(rows // height)):
+        at = rows // height == i
+        _, r = np.unique(rows[at], return_inverse=True)
+        _, c = np.unique(cols[at], return_inverse=True)
+        M = np.zeros((r.max() + 1, c.max() + 1), dtype=np.int8)
+        M[r, c] = signs[at]
+        rank += rank_gfp(M, p)
+    return rank
+
+
+# strands reduced together: enough to amortize the numpy calls, few enough
+# that their sparse arrays stay smaller than the face-fit arrays
+_STRAND_BATCH = 64
+
+
 def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulReport:
     """Middle defect as a sum over the multidegrees alpha of the middle term
     of the simplicial strands Delta_alpha (see the module docstring)."""
@@ -223,11 +351,12 @@ def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulRepor
 
     def strand_ranks(t: int) -> int:
         """Sum over alpha of the rank of the boundary on the t-faces of
-        Delta_alpha: counted for the cones, eliminated for the others."""
-        B = _boundary_matrix(w, t)
+        Delta_alpha: counted for the cones, reduced for the others."""
         derived = int(_cone_ranks(fits, t)[cones[t]].sum())
-        return derived + sum(rank_gfp(B[:, fit], p)
-                             for fit in fits[t][~cones[t]] if fit.any())
+        rest = np.flatnonzero(~cones[t] & fits[t].any(1))
+        return derived + sum(
+            _reduced_rank([f[rest[i:i + _STRAND_BATCH]] for f in fits[:t + 1]], t, p)
+            for i in range(0, len(rest), _STRAND_BATCH))
 
     dim_mid = dim_graded(n, a + N) * _comb_count(w, s)
     shape_in = (dim_mid, dim_graded(n, a) * _comb_count(w, s + 1))

@@ -133,6 +133,65 @@ def test_cone_ranks_match_elimination(p):
     assert coned and unconed, f"seed {seed}, p {p}: {coned} coned, {unconed} not"
 
 
+def _complex_fits(w, facets):
+    """Face fits, as one strand, of the simplicial complex on range(w)
+    spanned by `facets`."""
+    top = max(map(len, facets))
+    return [np.array([[any(set(T) <= set(F) for F in facets) for T in koszul._faces(w, k)]])
+            for k in range(top + 1)]
+
+
+COMPLEXES = {
+    # an isolated vertex, a path and a solid triangle: three components
+    "components": (7, [(0,), (1, 2), (2, 3), (4, 5, 6)]),
+    # inner cycle 0-1-2, outer cycle 3-4-5: H_1 != 0
+    "annulus": (6, [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)]),
+    # H_2 != 0: the four triangles have rank 3
+    "hollow tetrahedron": (4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+    # the dunce hat, 8 vertices and 17 triangles: contractible, but every
+    # edge lies on two or three triangles, so it is not collapsible and
+    # peeling cannot empty its triangle strand
+    "dunce hat": (8, [(0, 1, 3), (1, 2, 3), (0, 2, 4), (0, 1, 4), (1, 2, 5), (0, 2, 5),
+                      (0, 2, 6), (1, 2, 6), (0, 1, 7), (2, 3, 4), (1, 4, 5), (0, 5, 6),
+                      (1, 6, 7), (0, 3, 7), (3, 4, 5), (3, 5, 6), (3, 6, 7)]),
+}
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_reduced_strand_ranks_match_elimination(monkeypatch, p):
+    cores = []
+    monkeypatch.setattr(koszul, "rank_gfp",
+                        lambda M, q: cores.append(M.shape) or rank_gfp(M, q))
+
+    def check(fits, w, t, case):
+        """Each strand alone, then all of them at once, against the dense
+        boundary restricted to the fitting t-faces."""
+        B = koszul._boundary_matrix(w, t)
+        dense = [rank_gfp(B[:, fit], p) for fit in fits[t]]
+        for i, expect in enumerate(dense):
+            got = koszul._reduced_rank([f[[i]] for f in fits[:t + 1]], t, p)
+            assert got == expect, f"{case}, t {t}, strand {i}: {got} != {expect}"
+        got = koszul._reduced_rank(fits[:t + 1], t, p)
+        assert got == sum(dense), f"{case}, t {t}, all strands: {got} != {sum(dense)}"
+
+    seed = 41
+    for n, N, keep, a, s in _cone_cases(np.random.default_rng(seed)):
+        W = GradedSubspace.span_of_monomials(keep, n, p, N)
+        E = monomial_array(n, N)[list(W.pivots)]
+        fits = koszul._face_fits(E, monomial_array(n, a + (s + 1) * N), s + 1)
+        cones = koszul._cones(fits, W.dim)
+        for t in range(2, s + 2):
+            rest = ~cones[t] & fits[t].any(1)
+            if rest.any():
+                check([f[rest] for f in fits], W.dim, t,
+                      f"seed {seed}, p {p}, n {n}, N {N}, keep {keep}, a {a}, s {s}")
+    for name, (w, facets) in COMPLEXES.items():
+        fits = _complex_fits(w, facets)
+        for t in range(2, len(fits)):
+            check(fits, w, t, f"p {p}, {name}")
+    assert cores, f"seed {seed}, p {p}: peeling left no core to eliminate"
+
+
 def test_defect_nonnegative():
     rng = np.random.default_rng(24)
     for _ in range(10):
@@ -208,6 +267,7 @@ def _budget_sites() -> dict:
         "bpf_check": lambda: bpf_check(S2),
         "koszul_slice": lambda: koszul_slice(S2, 1, 1),
         "middle_exactness_dense": lambda: middle_exactness(dense, 1, 1),
+        "middle_exactness_monomial": lambda: middle_exactness(S2, 2, 2),
         "jacobian_piece_monomial": lambda: JacobianRing(fermat(1, 3, P)).jacobian_piece(2),
         "jacobian_piece_generic": lambda: generic.jacobian_piece(2),
         "power_span": lambda: power_span(S2, 2),

@@ -207,7 +207,7 @@ def _face_fits(E: np.ndarray, alphas: np.ndarray, top: int) -> list[np.ndarray]:
         check_budget(len(alphas), _comb_count(w, k))
         sums = E[_faces(w, k)].sum(1)
         fit = np.ones((len(alphas), len(sums)), dtype=bool)
-        for i in range(E.shape[1]):  # one variable at a time: no alpha x face x variable array
+        for i in range(E.shape[1]):  # per variable: no alpha x face x n array
             fit &= sums[:, i] <= alphas[:, i, None]
         fits.append(fit)
     return fits

@@ -177,7 +177,7 @@ class JacobianRing:
     def _jacobian_rows(self, k: int) -> np.ndarray:
         """Rows spanning J^k in S^k: each partial times each monomial of
         degree k - (N-1).  Stored in the smallest unsigned type holding
-        [0, p), since elimination works on its own float64 copy."""
+        [0, p), since elimination works on its own int64 copy."""
         n, a = self.X.n, k - (self.X.N - 1)
         check_budget(dim_graded(n, a) * len(self.partials), dim_graded(n, k))
         dtype = np.min_scalar_type(self.X.p - 1)

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over a prime field GF(p).
 
 Matrices are numpy int64 arrays with entries in [0, p).  Elimination runs
-in float64, which is exact as long as p**2 < 2**53; the default modulus
-65521 leaves ample headroom.  Each pivot touches only the nonzero columns
-of its row, so the cost of an elimination follows its fill-in, not its
-shape.  All routines are pure functions.
+exactly in int64; only `matmul_gfp` uses float64, for BLAS, and is exact
+as long as p**2 < 2**53 (the default modulus 65521 leaves ample headroom).
+Each pivot touches only the nonzero columns of its row, so the cost of an
+elimination follows its fill-in, not its shape.  All routines are pure
+functions.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def validate_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if p * p >= _F64_EXACT:
-        raise ValueError(f"modulus {p} too large for exact float64 elimination")
+        raise ValueError(f"modulus {p} too large for exact float64 products")
     return p
 
 
@@ -75,18 +76,18 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _as_f64(M: np.ndarray, p: int) -> np.ndarray:
-    # one fresh copy, reduced in place: a second temporary of the size of M
-    # fragments the heap and raises peak memory on large Jacobian pieces
-    A = np.array(M, dtype=np.float64)
+def _as_int64(M: np.ndarray, p: int) -> np.ndarray:
+    # one fresh copy, reduced in place, for peak memory on large Jacobian
+    # pieces; "safe" refuses input that int64 may not hold, as uint64 or float
+    A = np.asarray(M).astype(np.int64, casting="safe")
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     return np.remainder(A, p, out=A)
 
 
 def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form in place over GF(p); returns (matrix, pivot columns)."""
-    A = _as_f64(M, p)
+    """Row echelon form of a reduced copy of M; returns (matrix, pivot columns)."""
+    A = _as_int64(M, p)
     rows, cols = A.shape
     r = 0
     pivots: list[int] = []
@@ -123,7 +124,7 @@ def rank_gfp(M: np.ndarray, p: int) -> int:
 def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; zero rows are dropped."""
     E, pivots = _echelon(M, p, reduced=True)
-    return E[: len(pivots)].astype(np.int64), pivots
+    return E[: len(pivots)].copy(), pivots  # a view would keep all rows of E
 
 
 def nullspace_gfp(M: np.ndarray, p: int) -> np.ndarray:
@@ -141,14 +142,13 @@ def nullspace_gfp(M: np.ndarray, p: int) -> np.ndarray:
 
 def matmul_gfp(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact A @ B mod p via float64 BLAS, chunking the inner dimension."""
-    Af = _as_f64(A, p)
-    Bf = _as_f64(B, p)
+    Af = _as_int64(A, p).astype(np.float64)
+    Bf = _as_int64(B, p).astype(np.float64)
     inner = Af.shape[1]
     if inner != Bf.shape[0]:
         raise ValueError("shape mismatch")
     chunk = max(1, _F64_EXACT // (p * p) - 1)
-    out = np.zeros((Af.shape[0], Bf.shape[1]), dtype=np.float64)
+    out = np.zeros((Af.shape[0], Bf.shape[1]), dtype=np.int64)
     for lo in range(0, inner, chunk):
-        hi = min(lo + chunk, inner)
-        out = (out + Af[:, lo:hi] @ Bf[lo:hi, :]) % p
-    return out.astype(np.int64)
+        out = (out + (Af[:, lo:lo + chunk] @ Bf[lo:lo + chunk]).astype(np.int64)) % p
+    return out

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over a prime field GF(p).
 
-Matrices are numpy int64 arrays with entries in [0, p).  Elimination runs
-exactly in int64; only `matmul_gfp` uses float64, for BLAS, and is exact
-as long as p**2 < 2**53 (the default modulus 65521 leaves ample headroom).
-Each pivot touches only the nonzero columns of its row, so the cost of an
-elimination follows its fill-in, not its shape.  All routines are pure
-functions.
+Matrices are numpy int64 arrays with entries in [0, p); inputs may be any
+integer arrays that int64 holds.  Elimination runs exactly in int64; only
+`matmul_gfp` uses float64, for BLAS, which is exact while p**2 < 2**53
+(the default modulus 65521 leaves ample headroom).  Each pivot touches
+only the nonzero columns of its row, so the cost of an elimination follows
+its fill-in, not its shape.  All routines are pure functions.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from jacring.modp import (
     validate_prime,
 )
 from jacring.polynomials import Polynomial, monomial_exponents
+from jacring.spaces import GradedSubspace
 
 P = DEFAULT_PRIME
 
@@ -152,6 +153,21 @@ def _reference_kernel(rows, cols, p):
     return _gauss_jordan(basis, p)[0]
 
 
+def _integer_inputs(p, seed):
+    """(name, matrix) pairs of integer inputs that float64 cannot all hold:
+    entries beyond +-2**53 congruent to a rank-3 matrix, negative entries,
+    and the full ranges of int8, uint16, uint32 and int64."""
+    rng = np.random.default_rng(seed)
+    low = matmul_gfp(rng.integers(0, p, size=(9, 3)), rng.integers(0, p, size=(3, 12)), p)
+    yield "beyond 2**53", low + p * rng.integers(-2**62 // p, 2**62 // p, size=low.shape)
+    yield "negative", low - p * rng.integers(1, 4, size=low.shape)
+    for dtype in (np.int8, np.uint16, np.uint32, np.int64):
+        info = np.iinfo(dtype)
+        M = rng.integers(info.min, info.max, size=(8, 11), dtype=dtype, endpoint=True)
+        M[5] = M[1]  # a repeated row, so the rank is below min(rows, cols)
+        yield np.dtype(dtype).name, M
+
+
 def _elimination_cases(p):
     """(name, seed, matrix) triples with sparse, structured and Jacobian rows."""
     for seed, density in enumerate((0.02, 0.05, 0.1, 0.2, 0.3)):
@@ -178,6 +194,8 @@ def _elimination_cases(p):
     yield "tall", 10, rng.integers(0, p, size=(30, 5))
     low = matmul_gfp(rng.integers(0, p, size=(25, 4)), rng.integers(0, p, size=(4, 18)), p)
     yield "rank 4", 10, low
+    for name, M in _integer_inputs(p, 11):
+        yield name, 11, M
     for seed, (d, N) in enumerate(((1, 3), (2, 3), (1, 4)), start=20):
         rng = np.random.default_rng(seed)
         ring = random_smooth(d, N, p, rng)
@@ -209,6 +227,35 @@ def test_matmul_exact_vs_python_int():
     B = rng.integers(0, P, size=(11, 5), dtype=np.int64)
     expected = (A.astype(object) @ B.astype(object)) % P
     assert np.array_equal(matmul_gfp(A, B, P), expected.astype(np.int64))
+    for p in (P, P2, P_MAX):
+        for name, M in _integer_inputs(p, 12):
+            for A, B in ((M, M.T), (M.T.astype(np.int64), M)):
+                expected = (A.astype(object) @ B.astype(object)) % p
+                got = matmul_gfp(A, B, p)
+                assert got.dtype == np.int64, (name, p)
+                assert got.tolist() == expected.tolist(), (name, p)
+
+
+def test_refuses_input_int64_cannot_hold():
+    for M in (np.array([[2**64 - 1, 1]], dtype=np.uint64), np.array([[2.5, 1.0]])):
+        for call in (lambda: rank_gfp(M, P), lambda: rref_gfp(M, P),
+                     lambda: nullspace_gfp(M, P), lambda: matmul_gfp(M, M.T, P)):
+            with pytest.raises(TypeError):
+                call()
+
+
+def test_rref_is_compact():
+    # the rank rows of a tall matrix, as in yukawa-d2's product spans, must
+    # not be a view that keeps every input row alive
+    rng = np.random.default_rng(13)
+    tall = matmul_gfp(rng.integers(0, P, size=(1156, 120)),
+                      rng.integers(0, P, size=(120, 165)), P)
+    R, pivots = rref_gfp(tall, P)
+    assert R.shape == (len(pivots), 165) == (120, 165)
+    assert R.base is None and R.flags.owndata
+    basis = GradedSubspace.from_rows(tall, 4, P, 8).basis
+    assert basis.shape == (120, 165)
+    assert basis.base is None and basis.flags.owndata
 
 
 def test_matmul_chunked_large_modulus():

@@ -1,12 +1,16 @@
 """Jacobian ideals and rings of degree-N forms in n = d+2 variables,
-smoothness certification through one rank of J^(sigma+1), and primitive
-Hodge numbers via the residue identification.
+smoothness certification on Macaulay's square rows of J^(sigma+1), and
+primitive Hodge numbers via the residue identification.
 
 A form is certified smooth when J^(sigma+1) = S^(sigma+1).  The Jacobian
 ideal is then Artinian, its n partials form a regular sequence, and R has
 the complete-intersection Hilbert series ((1 - t^(N-1)) / (1 - t))^n, so
 dim R^sigma = 1 follows and a certified ring's dimensions are read off
-that series (`ci_hilbert`).
+that series (`ci_hilbert`).  The certificate ranks the square Macaulay rows
+first and all rows of J^(sigma+1) only if they are singular: the square
+rows are rows of J^(sigma+1), so their full rank proves the equality, but
+their determinant carries an extraneous factor that may vanish on a smooth
+form, so a short rank proves nothing.
 
 Forms whose partial derivatives are all monomials (Fermat, notably) take a
 combinatorial path: the degree-k piece of the ideal is a span of monomials,
@@ -184,6 +188,21 @@ class JacobianRing:
         return np.vstack([multiplication_matrix(g, a).T.astype(dtype)
                           for g in self.partials])
 
+    def _macaulay_rows(self, k: int) -> np.ndarray:
+        """Macaulay's square subset of the J^k rows, for k > n(N-2) and no
+        zero partial: monomial m of S^k takes the row (m / x_i^(N-1)) d_i f
+        for the least i with x_i^(N-1) | m, which exists by pigeonhole.  So
+        partial i contributes its multiples q with q_j < N-1 for all j < i,
+        a slice of the rows `_jacobian_rows` stacks for it."""
+        n, N = self.X.n, self.X.N
+        a, D = k - (N - 1), dim_graded(n, k)
+        check_budget(D, D)
+        dtype = np.min_scalar_type(self.X.p - 1)
+        low = monomial_array(n, a) < N - 1
+        return np.vstack([
+            multiplication_matrix(g, a).T[low[:, :i].all(axis=1)].astype(dtype)
+            for i, g in enumerate(self.partials)])
+
     def _degree_data(self, k: int) -> _DegreeData:
         if k in self._cache:
             return self._cache[k]
@@ -243,19 +262,28 @@ class JacobianRing:
     # -- certification and Hodge data ---------------------------------------
 
     def smoothness_certificate(self) -> SmoothnessCertificate:
-        """Smooth iff J^(sigma+1) = S^(sigma+1), decided by one rank (or, on
+        """Smooth iff J^(sigma+1) = S^(sigma+1), decided by rank (or, on
         the monomial path, by counting) and kept on the ring."""
         if self._certificate is None:
             self._certificate = self._certify()
         return self._certificate
 
     def _certify(self) -> SmoothnessCertificate:
-        sigma = self.X.socle_degree
+        """Square Macaulay rows first, full rank only if they are singular.
+        The square rows are J^(sigma+1) rows, so their full rank proves
+        J^(sigma+1) = S^(sigma+1).  The argument is one-sided: a zero
+        partial breaks the construction, and the square determinant is the
+        resultant times an extraneous minor that can vanish on a smooth form,
+        so either case ranks all rows of J^(sigma+1)."""
+        n, p, sigma = self.X.n, self.X.p, self.X.socle_degree
         if self.monomial_path:
             above = self.hilbert(sigma + 1)
+        elif (len(self.partials) == n and rank_gfp(self._macaulay_rows(sigma + 1), p)
+              == dim_graded(n, sigma + 1)):
+            above = 0
         else:
             rows = self._jacobian_rows(sigma + 1)
-            above = rows.shape[1] - rank_gfp(rows, self.X.p)
+            above = rows.shape[1] - rank_gfp(rows, p)
         if above == 0:
             return SmoothnessCertificate(True)
         # not Artinian: eliminate at sigma only to word the reason

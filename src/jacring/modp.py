@@ -5,7 +5,8 @@ integer arrays that int64 holds.  Elimination runs exactly in int64; only
 `matmul_gfp` uses float64, for BLAS, which is exact while p**2 < 2**53
 (the default modulus 65521 leaves ample headroom).  Each pivot touches
 only the nonzero columns of its row, so the cost of an elimination follows
-its fill-in, not its shape.  All routines are pure functions.
+its fill-in, not its shape, and one scan of each pivot column both finds
+the pivot and names the rows it updates.  All routines are pure functions.
 """
 
 from __future__ import annotations
@@ -100,14 +101,18 @@ def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
+        # row i now holds the old row r, zero in column c, so the scan that
+        # found the pivot also names every row below r to update
+        others = r + nz[1:]
+        if reduced:
+            # on small RREFs an empty concatenation would cost more than a
+            # second scan of the whole column
+            above = A[:r, c].nonzero()[0]
+            if above.size:
+                others = np.concatenate((above, others))
         support = c + A[r, c:].nonzero()[0]
         inv = inv_mod(int(A[r, c]), p)
         A[r, support] = (A[r, support] * inv) % p
-        if reduced:
-            others = A[:, c].nonzero()[0]
-            others = others[others != r]
-        else:
-            others = r + 1 + A[r + 1:, c].nonzero()[0]
         if others.size:
             at = others[:, None]
             A[at, support] = (A[at, support] - A[at, c] * A[r, support]) % p

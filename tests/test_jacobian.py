@@ -17,8 +17,14 @@ from jacring.jacobian import (
     jacobian_generators,
     random_smooth,
 )
-from jacring.modp import matmul_gfp, rref_gfp
-from jacring.polynomials import Polynomial, dim_graded, monomial_exponents, parse_polynomial
+from jacring.modp import matmul_gfp, rank_gfp, rref_gfp
+from jacring.polynomials import (
+    Polynomial,
+    dim_graded,
+    monomial_exponents,
+    monomial_index,
+    parse_polynomial,
+)
 from jacring.spaces import GradedSubspace
 
 
@@ -342,6 +348,62 @@ def test_certificate_matches_elimination(p):
             for k in range(X.socle_degree + 3):
                 assert ci_hilbert(n, N, k) == fresh.hilbert(k), (seed, p, k, str(f))
     assert any(verdicts) and not all(verdicts)
+
+
+def test_square_rows_are_least_i_jacobian_rows():
+    # Macaulay's square rows: for each monomial m of S^(sigma+1), the row of
+    # _jacobian_rows(sigma+1) holding (m / x_i^(N-1)) d_i f for the least i
+    # with x_i^(N-1) | m, and no other row
+    rng = np.random.default_rng(24)
+    for n in range(2, 6):
+        for N in range(3, 6):
+            terms = {m: int(rng.integers(1, P)) for m in monomial_exponents(n, N)}
+            ring = JacobianRing(Hypersurface(Polynomial(n, P, terms), n - 2, N))
+            assert len(ring.partials) == n, (n, N)
+            k = ring.X.socle_degree + 1
+            multiples = monomial_index(n, k - N + 1)
+            picks = []
+            for m in monomial_exponents(n, k):
+                i = next(i for i in range(n) if m[i] >= N - 1)
+                q = m[:i] + (m[i] - N + 1,) + m[i + 1:]
+                picks.append(i * len(multiples) + multiples[q])
+            assert len(set(picks)) == dim_graded(n, k), (n, N)
+            square = ring._macaulay_rows(k)
+            assert np.array_equal(square, ring._jacobian_rows(k)[sorted(picks)]), (n, N)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_certificate_falls_back_on_singular_square_rows(monkeypatch, p):
+    # a smooth cubic whose square rows have rank 13 of 15: only the rank of
+    # all J^4 rows can certify it
+    X = Hypersurface(parse_polynomial("x0^2*x1 + x1^2*x2 + x2^2*x0", 3, p), 1, 3)
+    ring = JacobianRing(X)
+    assert not ring.monomial_path
+    assert rank_gfp(ring._macaulay_rows(4), p) == 13
+    full = []
+    jacobian_rows = JacobianRing._jacobian_rows
+    monkeypatch.setattr(JacobianRing, "_jacobian_rows",
+                        lambda self, k: full.append(k) or jacobian_rows(self, k))
+    cert = ring.smoothness_certificate()
+    assert full == [4]
+    assert (cert.smooth, cert.reason) == _eliminated_certificate(X) == (True, None)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_certificate_skips_square_rows_with_zero_partial(monkeypatch, p):
+    def square_rows(self, k):
+        raise AssertionError("square rows built for a form with a zero partial")
+
+    monkeypatch.setattr(JacobianRing, "_macaulay_rows", square_rows)
+    paths = set()
+    for text in ("x0^3", "x0^3 + x0*x1^2"):
+        X = Hypersurface(parse_polynomial(text, 3, p), 1, 3)
+        ring = JacobianRing(X)
+        paths.add(ring.monomial_path)
+        cert = ring.smoothness_certificate()
+        assert not cert.smooth, text
+        assert (cert.smooth, cert.reason) == _eliminated_certificate(X), text
+    assert paths == {True, False}
 
 
 def test_quintic_hilbert_by_elimination_at_large_size():

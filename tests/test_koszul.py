@@ -270,6 +270,7 @@ def _budget_sites() -> dict:
         "middle_exactness_monomial": lambda: middle_exactness(S2, 2, 2),
         "jacobian_piece_monomial": lambda: JacobianRing(fermat(1, 3, P)).jacobian_piece(2),
         "jacobian_piece_generic": lambda: generic.jacobian_piece(2),
+        "certificate_generic": lambda: JacobianRing(generic.X).smoothness_certificate(),
         "power_span": lambda: power_span(S2, 2),
     }
 

@@ -170,7 +170,10 @@ def multiplication_matrix(g: Polynomial, a: int) -> np.ndarray:
 
 
 def product_span(A: GradedSubspace, B: GradedSubspace) -> GradedSubspace:
-    """Row-reduced span of all pairwise products of basis elements."""
+    """Row-reduced span of all pairwise products of basis elements.
+
+    Squaring a space (`A is B`) forms each unordered pair g_i * g_j once,
+    i <= j: dim A (dim A + 1) / 2 rows instead of (dim A)^2."""
     if (A.n, A.p) != (B.n, B.p):
         raise ValueError("mixed variable count or modulus")
     n, p = A.n, A.p
@@ -178,8 +181,9 @@ def product_span(A: GradedSubspace, B: GradedSubspace) -> GradedSubspace:
     check_budget(A.dim * B.dim, dim_graded(n, deg))
     if A.dim == 0 or B.dim == 0:
         return GradedSubspace.zero(n, p, deg)
-    rows = np.vstack([matmul_gfp(A.basis, multiplication_matrix(g, A.degree).T, p)
-                      for g in B.polynomials()])
+    rows = np.vstack([matmul_gfp(A.basis[:j + 1] if A is B else A.basis,
+                                 multiplication_matrix(g, A.degree).T, p)
+                      for j, g in enumerate(B.polynomials())])
     return GradedSubspace.from_rows(rows, n, p, deg)
 
 
@@ -229,7 +233,9 @@ def bpf_check(W: GradedSubspace, m_max: int | None = None) -> BpfResult:
         m_max = bpf_default_mmax(n, N)
     if m_max < N:
         raise ValueError("m_max must be at least the degree of W")
-    for m in range(N, m_max + 1):
+    if W.is_full():  # S^0 * W = W
+        return BpfResult(True, N)
+    for m in range(N + 1, m_max + 1):
         S = GradedSubspace.full(n, p, m - N)
         if product_span(S, W).is_full():
             return BpfResult(True, m)

@@ -113,7 +113,12 @@ def random_hyperplane_over_jacobian(ring: JacobianRing,
 def yukawa_chain(ring: JacobianRing, K: GradedSubspace) -> YukawaChainReport:
     """Evaluate every step of the hyperplane chain with exact dimensions.
 
-    Failing steps are reported, not fatal."""
+    Two steps are derived from earlier ones when those imply them, and
+    computed otherwise: `span_full_times_colon` from `colon_bpf` verified at
+    a degree m <= 2d+4 (then S^(d+3) K' = S^(2d+4)), and
+    `socle_image_nonzero` from `power_full` (a certified ring has
+    dim R^sigma = 1, onto which S^sigma maps).  Failing steps are reported,
+    not fatal."""
     _check_system(ring, K)
     X = ring.X
     d, N, n, p = X.d, X.N, X.n, X.p
@@ -136,9 +141,13 @@ def yukawa_chain(ring: JacobianRing, K: GradedSubspace) -> YukawaChainReport:
                            bool(bpf)))
 
     full_2d4 = dim_graded(n, 2 * d + 4)
-    span = product_span(GradedSubspace.full(n, p, d + 3), Kp)
-    steps.append(ChainStep("span_full_times_colon", f"dim {full_2d4}", span.dim,
-                           span.dim == full_2d4))
+    if bpf and bpf.degree <= 2 * d + 4:
+        # S^(m-d-1) K' = S^m, so S^(d+3) K' = S^(2d+4-m) S^m = S^(2d+4)
+        got = full_2d4
+    else:
+        got = product_span(GradedSubspace.full(n, p, d + 3), Kp).dim
+    steps.append(ChainStep("span_full_times_colon", f"dim {full_2d4}", got,
+                           got == full_2d4))
 
     K2 = product_span(K, K)
     steps.append(ChainStep("square_full", f"dim {full_2d4}", K2.dim,
@@ -151,7 +160,8 @@ def yukawa_chain(ring: JacobianRing, K: GradedSubspace) -> YukawaChainReport:
     steps.append(ChainStep("power_full", f"dim {full_top}", Kd.dim,
                            Kd.dim == full_top))
 
-    nonzero = _socle_image_nonzero(ring, Kd)
+    # dim R^sigma = 1 on a certified ring, so S^sigma maps onto it
+    nonzero = Kd.is_full() or _socle_image_nonzero(ring, Kd)
     steps.append(ChainStep("socle_image_nonzero", "nonzero",
                            "nonzero" if nonzero else "zero", nonzero))
 

@@ -120,6 +120,35 @@ def test_product_span_symmetric_and_monotone():
     assert product_span(A2, B).contains(product_span(A, B))
 
 
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_symmetric_square_matches_distinct_copy(p):
+    # product_span(K, K) forms each unordered pair once; an equal but
+    # distinct K2 takes the path that forms every ordered pair
+    from jacring.yukawa import power_span
+
+    def twin(K):
+        K2 = GradedSubspace(K.n, K.p, K.degree, K.basis.copy(), K.pivots)
+        assert K2 == K and K2 is not K
+        return K2
+
+    rng = np.random.default_rng(17)
+    cases = [random_subspace(3, p, 2, k, rng) for k in (2, 4, 6)]
+    cases += [
+        GradedSubspace.from_polynomials(
+            [parse_polynomial("x0^2", 2, p), parse_polynomial("x0*x1", 2, p)], 2),
+        random_subspace(3, p, 2, 1, rng),
+        GradedSubspace.span_of_monomials([3], 3, p, 2),
+    ]
+    for K in cases:
+        assert product_span(K, K) == product_span(K, twin(K)), (p, K)
+    assert product_span(cases[3], cases[3]).dim == 3  # x0^4, x0^3 x1, x0^2 x1^2
+    assert not product_span(cases[1], cases[1]).is_full()
+    assert product_span(cases[2], cases[2]).is_full()
+    for K in (random_subspace(3, p, 1, 2, rng), random_subspace(3, p, 2, 3, rng)):
+        K2 = twin(K)
+        assert power_span(K, 3) == product_span(product_span(K, K2), K2), (p, K)
+
+
 def test_colon_examples():
     F = GradedSubspace.full(3, P, 4)
     assert colon_by_linear_forms(F).is_full()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import P
+from conftest import P, P2, P_MAX
+from jacring import yukawa
 from jacring.jacobian import JacobianRing, fermat, random_smooth
 from jacring.polynomials import dim_graded
-from jacring.spaces import GradedSubspace
+from jacring.spaces import BpfResult, GradedSubspace, colon_by_linear_forms, product_span
 from jacring.yukawa import (
+    _socle_image_nonzero,
     power_span,
     random_hyperplane_over_jacobian,
     socle_pairing_rank,
@@ -94,6 +96,82 @@ def test_chain_single_instance():
     assert names == ["colon_codim", "colon_bpf", "span_full_times_colon",
                      "square_full", "power_full", "socle_image_nonzero"]
     assert all(isinstance(s.as_dict()["ok"], bool) for s in rep.steps)
+
+
+def _chain_case(p, seed):
+    rng = np.random.default_rng(seed)
+    ring = random_smooth(2, 4, p, rng)
+    return ring, random_hyperplane_over_jacobian(ring, rng)
+
+
+def _got(report, step):
+    return next(s.got for s in report.steps if s.step == step)
+
+
+def _as_word(nonzero):
+    return "nonzero" if nonzero else "zero"
+
+
+def _spy_spans(monkeypatch, spans, wrap=lambda A, B, S: S):
+    """Record the degrees of every product span the chain forms."""
+    def spy(A, B):
+        spans.append((A.degree, B.degree))
+        return wrap(A, B, product_span(A, B))
+    monkeypatch.setattr(yukawa, "product_span", spy)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_derived_chain_steps_match_direct_computation(monkeypatch, p):
+    # d = 2: K' sits in degree 3, the span step in degree 2d+4 = 8
+    for seed in range(3):
+        ring, K = _chain_case(p, seed)
+        spans = []
+        _spy_spans(monkeypatch, spans)
+        rep = yukawa_chain(ring, K)
+        monkeypatch.undo()
+        assert rep.all_ok
+        assert spans == [(4, 4)]  # only the square is formed; both steps derived
+        span = product_span(GradedSubspace.full(4, p, 5), colon_by_linear_forms(K))
+        assert _got(rep, "span_full_times_colon") == span.dim
+        Kd = product_span(K, K)
+        assert _got(rep, "socle_image_nonzero") == _as_word(_socle_image_nonzero(ring, Kd))
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+@pytest.mark.parametrize("bpf", [BpfResult(False), BpfResult(True, 9)],
+                         ids=["bpf-unknown", "bpf-past-2d+4"])
+def test_span_step_falls_back_to_dense_span(monkeypatch, p, bpf):
+    ring, K = _chain_case(p, 0)
+    span = product_span(GradedSubspace.full(4, p, 5), colon_by_linear_forms(K))
+    spans = []
+    _spy_spans(monkeypatch, spans)
+    monkeypatch.setattr(yukawa, "bpf_check", lambda W: bpf)
+    rep = yukawa_chain(ring, K)
+    assert (5, 3) in spans  # the dense span S^5 * K' ran
+    assert _got(rep, "span_full_times_colon") == span.dim == dim_graded(4, 8)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_socle_step_falls_back_when_power_not_full(monkeypatch, p):
+    ring, K = _chain_case(p, 0)
+
+    def short_square(A, B, S):  # drop one row of K^2, so power_full fails
+        if A is not B:
+            return S
+        return GradedSubspace(S.n, S.p, S.degree, S.basis[:-1], S.pivots[:-1])
+
+    _spy_spans(monkeypatch, [], short_square)
+    seen = []
+
+    def socle_spy(ring_, Kd):
+        seen.append(Kd)
+        return _socle_image_nonzero(ring_, Kd)
+
+    monkeypatch.setattr(yukawa, "_socle_image_nonzero", socle_spy)
+    rep = yukawa_chain(ring, K)
+    assert _got(rep, "power_full") == dim_graded(4, 8) - 1
+    assert len(seen) == 1  # the reduction into R^sigma ran
+    assert _got(rep, "socle_image_nonzero") == _as_word(_socle_image_nonzero(ring, seen[0]))
 
 
 def test_chain_rejects_non_hyperplane():

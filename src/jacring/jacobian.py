@@ -182,10 +182,11 @@ class JacobianRing:
         """Rows spanning J^k in S^k: each partial times each monomial of
         degree k - (N-1).  Stored in the smallest unsigned type holding
         [0, p), since elimination works on its own int64 copy."""
-        n, a = self.X.n, k - (self.X.N - 1)
+        n, b = self.X.n, self.X.N - 1
+        a = k - b
         check_budget(dim_graded(n, a) * len(self.partials), dim_graded(n, k))
         dtype = np.min_scalar_type(self.X.p - 1)
-        return np.vstack([multiplication_matrix(g, a).T.astype(dtype)
+        return np.vstack([multiplication_matrix(g.to_vector(b), n, b, a).T.astype(dtype)
                           for g in self.partials])
 
     def _macaulay_rows(self, k: int) -> np.ndarray:
@@ -200,8 +201,8 @@ class JacobianRing:
         dtype = np.min_scalar_type(self.X.p - 1)
         low = monomial_array(n, a) < N - 1
         return np.vstack([
-            multiplication_matrix(g, a).T[low[:, :i].all(axis=1)].astype(dtype)
-            for i, g in enumerate(self.partials)])
+            multiplication_matrix(g.to_vector(N - 1), n, N - 1, a).T[low[:, :i].all(axis=1)]
+            .astype(dtype) for i, g in enumerate(self.partials)])
 
     def _degree_data(self, k: int) -> _DegreeData:
         if k in self._cache:

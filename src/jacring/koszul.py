@@ -57,7 +57,7 @@ import numpy as np
 
 from .jacobian import JacobianRing
 from .modp import check_budget, rank_gfp
-from .polynomials import dim_graded, monomial_array, monomial_index
+from .polynomials import dim_graded, monomial_array, monomial_rank
 from .spaces import GradedSubspace, bpf_check, multiplication_matrix
 
 
@@ -103,8 +103,8 @@ def _mult_mats(W: GradedSubspace, k: int, ring: JacobianRing | None) -> list[np.
     n, N = W.n, W.degree
     check_budget(dim_graded(n, k + N), dim_graded(n, k))
     mats = []
-    for poly in W.polynomials():
-        M = multiplication_matrix(poly, k)
+    for g in W.basis:
+        M = multiplication_matrix(g, n, N, k)
         if ring is not None:
             M = ring.reduce(M[:, ring.quotient_basis(k)].T, k + N).T
         mats.append(M)
@@ -392,8 +392,7 @@ def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
     D = dim_graded(n, N)
     if codim < 0 or codim >= D:
         raise ValueError(f"codimension {codim} impossible in dim {D}")
-    idx = monomial_index(n, N)
-    pure = {idx[m] for m in ((0,) * i + (N,) + (0,) * (n - i - 1) for i in range(n))}
+    pure = set(monomial_rank(N * np.eye(n, dtype=np.int64)).tolist())
     for _ in range(BPF_SAMPLE_TRIES):
         if style == "monomial":
             others = sorted(set(range(D)) - pure)

@@ -1,8 +1,10 @@
 """Monomials and homogeneous polynomials in n variables over GF(p).
 
-Monomials are exponent tuples; graded pieces S^k carry a fixed graded-lex
-basis (x0 > x1 > ...) so that every subspace and matrix in the package is
-indexed reproducibly.
+Graded pieces S^k carry a fixed graded-lex basis (x0 > x1 > ...), so that
+every subspace and matrix in the package is indexed reproducibly: coordinates
+are indexed by graded-lex rank, which `monomial_array` maps to exponent rows
+and `monomial_rank` maps back.  Exponent tuples are `Polynomial`'s dictionary
+keys.
 """
 
 from __future__ import annotations
@@ -51,39 +53,53 @@ def monomial_index(n: int, k: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def monomial_array(n: int, k: int) -> np.ndarray:
-    """The rows of `monomial_exponents(n, k)`, computed without its tuples.
+def _block_starts(n: int, k: int) -> np.ndarray:
+    """starts[i, j] = dim_graded(n-i, j-1), for degrees j = 0..k.
 
     The degree-r monomials in x_i..x_(n-1) come in blocks j = 0..r with
-    x_i^(r-j), and block j starts at dim_graded(n-i, j-1) whatever r is, so
-    one search per variable reads the exponent of x_i off each row's rank."""
+    x_i^(r-j), and block j starts at starts[i, j] whatever r is."""
+    return np.array([[dim_graded(n - i, j - 1) for j in range(k + 1)]
+                     for i in range(n)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def monomial_array(n: int, k: int) -> np.ndarray:
+    """The rows of `monomial_exponents(n, k)`, computed without its tuples:
+    one search of `_block_starts` per variable reads the exponent of x_i
+    off each row's rank."""
     D = dim_graded(n, k)
     E = np.empty((D, n), dtype=np.int64)
+    starts = _block_starts(n, k)
     rest = np.full(D, k, dtype=np.int64)   # degree left for x_i..x_(n-1)
     rank = np.arange(D, dtype=np.int64)    # rank among rows agreeing on x_0..x_(i-1)
     for i in range(n - 1):
-        starts = np.array([dim_graded(n - i, j - 1) for j in range(k + 1)],
-                          dtype=np.int64)
-        j = np.searchsorted(starts, rank, side="right") - 1
+        j = np.searchsorted(starts[i], rank, side="right") - 1
         E[:, i] = rest - j
-        rank -= starts[j]
+        rank -= starts[i, j]
         rest = j
     E[:, -1] = rest
     return E
+
+
+def monomial_rank(E) -> np.ndarray:
+    """The inverse of `monomial_array`: the rank of each exponent row of E
+    (the last axis) in the graded-lex basis of its degree, over any leading
+    shape.  Each variable adds the start of the block its exponent picks."""
+    E = np.asarray(E, dtype=np.int64)
+    rest = E.sum(axis=-1)
+    starts = _block_starts(E.shape[-1], int(rest.max(initial=0)))
+    rank = np.zeros(rest.shape, dtype=np.int64)
+    for i in range(E.shape[-1] - 1):
+        rest -= E[..., i]
+        rank += starts[i, rest]
+    return rank
 
 
 @lru_cache(maxsize=None)
 def product_index_table(n: int, a: int, b: int) -> np.ndarray:
     """table[i, j] = index in S^(a+b) of the product of monomial i of S^a
     with monomial j of S^b."""
-    idx = monomial_index(n, a + b)
-    A = monomial_exponents(n, a)
-    B = monomial_exponents(n, b)
-    T = np.empty((len(A), len(B)), dtype=np.int64)
-    for i, ma in enumerate(A):
-        for j, mb in enumerate(B):
-            T[i, j] = idx[tuple(x + y for x, y in zip(ma, mb))]
-    return T
+    return monomial_rank(monomial_array(n, a)[:, None, :] + monomial_array(n, b)[None, :, :])
 
 
 class Polynomial:
@@ -196,10 +212,9 @@ class Polynomial:
         """Coefficient vector on the graded-lex basis of S^k."""
         if self.terms and (not self.is_homogeneous() or self.degree() != k):
             raise ValueError(f"polynomial is not homogeneous of degree {k}")
-        idx = monomial_index(self.n, k)
+        E = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.n)
         v = np.zeros(dim_graded(self.n, k), dtype=np.int64)
-        for m, c in self.terms.items():
-            v[idx[m]] = c
+        v[monomial_rank(E)] = list(self.terms.values())
         return v
 
     @classmethod

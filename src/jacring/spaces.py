@@ -16,12 +16,7 @@ from .modp import (
     rref_gfp,
     validate_prime,
 )
-from .polynomials import (
-    Polynomial,
-    dim_graded,
-    monomial_index,
-    product_index_table,
-)
+from .polynomials import Polynomial, dim_graded, product_index_table
 
 
 class GradedSubspace:
@@ -150,22 +145,17 @@ def subspace_intersection(A: GradedSubspace, B: GradedSubspace) -> GradedSubspac
     return GradedSubspace.from_rows(rows, A.n, A.p, A.degree)
 
 
-def multiplication_matrix(g: Polynomial, a: int) -> np.ndarray:
-    """Matrix of multiplication by homogeneous g as a map S^a -> S^(a+deg g),
-    columns indexed by the basis of S^a.  It is the transpose of a C-ordered
-    array whose row i is g times monomial i of S^a, so `.T` gives product
-    rows ready for elimination."""
-    if not g.is_homogeneous() or g.is_zero():
-        raise ValueError("need a nonzero homogeneous polynomial")
-    b = g.degree()
-    n = g.n
+def multiplication_matrix(g: np.ndarray, n: int, b: int, a: int) -> np.ndarray:
+    """Matrix of multiplication by g, a coefficient row of S^b in n
+    variables, as a map S^a -> S^(a+b), columns indexed by the basis of S^a.
+    It is the transpose of a C-ordered array whose row i is g times monomial
+    i of S^a, so `.T` gives product rows ready for elimination."""
+    terms = np.flatnonzero(g)
     T = product_index_table(n, a, b)
-    idx_b = monomial_index(n, b)
-    terms = [idx_b[m] for m in g.terms]
     rows = np.zeros((dim_graded(n, a), dim_graded(n, a + b)), dtype=np.int64)
     # distinct terms of g times one monomial are distinct monomials, so no
     # cell is written twice
-    rows[np.arange(len(T))[:, None], T[:, terms]] = list(g.terms.values())
+    rows[np.arange(len(T))[:, None], T[:, terms]] = g[terms]
     return rows.T
 
 
@@ -182,8 +172,8 @@ def product_span(A: GradedSubspace, B: GradedSubspace) -> GradedSubspace:
     if A.dim == 0 or B.dim == 0:
         return GradedSubspace.zero(n, p, deg)
     rows = np.vstack([matmul_gfp(A.basis[:j + 1] if A is B else A.basis,
-                                 multiplication_matrix(g, A.degree).T, p)
-                      for j, g in enumerate(B.polynomials())])
+                                 multiplication_matrix(g, n, B.degree, A.degree).T, p)
+                      for j, g in enumerate(B.basis)])
     return GradedSubspace.from_rows(rows, n, p, deg)
 
 
@@ -198,10 +188,9 @@ def colon_by_linear_forms(K: GradedSubspace) -> GradedSubspace:
         raise ValueError("colon needs degree >= 1")
     n, p = K.n, K.p
     N = annihilator(K)  # g*x_i in K  <=>  N @ (M_i g) = 0
-    blocks = []
-    for i in range(n):
-        Mi = multiplication_matrix(Polynomial.variable(i, n, p), K.degree - 1)
-        blocks.append(matmul_gfp(N, Mi, p))
+    # x_i is monomial i of S^1
+    blocks = [matmul_gfp(N, multiplication_matrix(x, n, 1, K.degree - 1), p)
+              for x in np.eye(n, dtype=np.int64)]
     rows = nullspace_gfp(np.vstack(blocks), p)
     return GradedSubspace.from_rows(rows, n, p, K.degree - 1)
 

@@ -212,6 +212,20 @@ def test_sample_bpf_subsystem(monkeypatch):
         sample_bpf_subsystem(2, 2, 2, P, rng)
 
 
+def test_sample_bpf_monomial_keeps_pure_powers(monkeypatch):
+    # at the largest codimension only the pure powers x_i^N are left; a
+    # wrong index for them would drop one and leave a base point.  The
+    # pure powers have no common zero, so the check asserts the pivots and
+    # skips bpf_check, which alone takes 10 s at (n, N) = (5, 4).
+    monkeypatch.setattr(koszul, "bpf_check", lambda W: True)
+    for n in range(1, 6):
+        for N in range(1, 5):
+            W = sample_bpf_subsystem(n, N, dim_graded(n, N) - n, P,
+                                     np.random.default_rng(n * N), style="monomial")
+            E = monomial_array(n, N)[list(W.pivots)]
+            assert np.array_equal(E, N * np.eye(n, dtype=np.int64)), (n, N)
+
+
 def test_green_scan_small():
     rng = np.random.default_rng(26)
     cells = green_scan(2, 3, [0, 1, 2], 4, 2, 2, P, rng)

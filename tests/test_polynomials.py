@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from jacring import polynomials
 from jacring.polynomials import (
     Polynomial,
     PolynomialParseError,
@@ -8,6 +11,7 @@ from jacring.polynomials import (
     monomial_array,
     monomial_exponents,
     monomial_index,
+    monomial_rank,
     parse_polynomial,
     product_index_table,
 )
@@ -42,6 +46,7 @@ def test_monomial_basis_counts():
     monomial_exponents.cache_clear()
     monomial_array.cache_clear()
     monomial_index.cache_clear()
+    polynomials._block_starts.cache_clear()
 
 
 def test_monomial_array_matches_exponents():
@@ -50,17 +55,29 @@ def test_monomial_array_matches_exponents():
             expected = np.array(monomial_exponents(n, k), dtype=np.int64).reshape(-1, n)
             A = monomial_array(n, k)
             assert A.dtype == np.int64 and np.array_equal(A, expected), (n, k)
+            # monomial_rank is its inverse, and agrees with the tuple index
+            assert np.array_equal(monomial_rank(A), np.arange(dim_graded(n, k))), (n, k)
+            idx = monomial_index(n, k)
+            assert [idx[m] for m in monomial_exponents(n, k)] == monomial_rank(expected).tolist()
+    # any leading shape: a 3-D stack of rows of mixed degrees ranks row by row
+    rng = np.random.default_rng(5)
+    E = rng.integers(0, 5, size=(4, 7, 3))
+    R = monomial_rank(E)
+    assert R.shape == (4, 7)
+    for i in range(4):
+        for j in range(7):
+            assert R[i, j] == monomial_rank(E[i, j]) == monomial_index(3, int(E[i, j].sum()))[
+                tuple(int(e) for e in E[i, j])]
 
 
 def test_product_index_table():
-    n, a, b = 3, 2, 3
-    T = product_index_table(n, a, b)
-    A = monomial_array(n, a)
-    B = monomial_array(n, b)
-    AB = monomial_array(n, a + b)
-    for i in range(T.shape[0]):
-        for j in range(T.shape[1]):
-            assert np.array_equal(AB[T[i, j]], A[i] + B[j])
+    for n, a, b in itertools.product(range(1, 6), range(5), range(5)):
+        T = product_index_table(n, a, b)
+        ma = np.array(monomial_exponents(n, a))[:, None, :]
+        mb = np.array(monomial_exponents(n, b))[None, :, :]
+        idx = monomial_index(n, a + b)
+        expected = [[idx[tuple(m)] for m in row] for row in (ma + mb).tolist()]
+        assert T.dtype == np.int64 and T.tolist() == expected, (n, a, b)
 
 
 def _random_poly(rng, n=3, max_terms=4, max_deg=3):

@@ -63,13 +63,22 @@ def test_multiplication_matrix_agrees_with_product():
     rng = np.random.default_rng(13)
     n, a = 3, 2
     ms = monomial_exponents(n, 2)
+
+    def check(row, b, g):
+        M = multiplication_matrix(row, n, b, a)
+        v = rng.integers(0, P, size=dim_graded(n, a), dtype=np.int64)
+        f = Polynomial.from_vector(v, n, a, P)
+        assert np.array_equal((M @ v) % P, (g * f).to_vector(a + b))
+
     for _ in range(10):
         picks = rng.choice(len(ms), size=3, replace=False)
         g = Polynomial(n, P, {ms[int(i)]: int(rng.integers(1, P)) for i in picks})
-        M = multiplication_matrix(g, a)
-        v = rng.integers(0, P, size=dim_graded(n, a), dtype=np.int64)
-        f = Polynomial.from_vector(v, n, a, P)
-        assert np.array_equal((M @ v) % P, (g * f).to_vector(a + g.degree()))
+        check(g.to_vector(2), 2, g)
+    g = Polynomial(n, P, {ms[4]: 5})
+    check(g.to_vector(2), 2, g)
+    # the rows colon_by_linear_forms passes: x_i is monomial i of S^1
+    for i, x in enumerate(np.eye(n, dtype=np.int64)):
+        check(x, 1, Polynomial.variable(i, n, P))
 
 
 def test_product_span_examples():

@@ -1,6 +1,6 @@
 """Koszul complexes of a linear system W in S^N acting on the polynomial
 ring or on a Jacobian ring, middle-exactness reports, and the exactness
-scan over (a, s) grids of certified base-point-free subsystems.
+scan over (a, s) grids of sampled base-point-free subsystems.
 
 Two evaluation paths compute the same defect:
 
@@ -65,7 +65,7 @@ BPF_SAMPLE_TRIES = 50
 
 
 class BpfSamplingError(RuntimeError):
-    """No certified base-point-free subsystem found within the retry bound."""
+    """No base-point-free subsystem of the requested codimension was sampled."""
 
 
 @dataclass(frozen=True)
@@ -372,6 +372,11 @@ def middle_exactness(W: GradedSubspace, a: int, s: int,
                      ring: JacobianRing | None = None) -> KoszulReport:
     """Exact rank of the incoming differential, exact kernel of the outgoing
     one, and their difference (the middle defect)."""
+    # checked before the dispatch: the monomial path would crash or misreport on both
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if W.dim == 0:
+        raise ValueError("W must be nonzero")
     if ring is None and W.is_monomial_spanned():
         return _middle_exactness_monomial(W, a, s)
     return report_from_slice(koszul_slice(W, a, s, ring=ring))
@@ -383,34 +388,33 @@ def middle_exactness(W: GradedSubspace, a: int, s: int,
 def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
                          rng: np.random.Generator,
                          style: str = "dense") -> GradedSubspace:
-    """Random codimension-c subsystem of S^N, certified base-point-free.
+    """Random codimension-c base-point-free subsystem of S^N.
 
-    style="dense" draws a random row space; style="monomial" keeps all
-    monomials except c random non-power ones (the pure powers guarantee an
-    empty base locus, and the resulting complex splits by multidegree).
+    style="monomial" keeps all monomials except c random non-power ones: it is
+    base-point-free by construction, and its complex splits by multidegree.
+    style="dense" draws random row spaces until `bpf_check` certifies one.
     """
     D = dim_graded(n, N)
     if codim < 0 or codim >= D:
         raise ValueError(f"codimension {codim} impossible in dim {D}")
-    pure = set(monomial_rank(N * np.eye(n, dtype=np.int64)).tolist())
-    for _ in range(BPF_SAMPLE_TRIES):
-        if style == "monomial":
-            others = sorted(set(range(D)) - pure)
-            if len(others) < codim:
-                raise BpfSamplingError(
-                    f"cannot exclude {codim} non-power monomials at (n={n}, N={N})"
-                )
-            drop = set(int(others[i]) for i in
-                       rng.choice(len(others), size=codim, replace=False))
-            W = GradedSubspace.span_of_monomials(
-                sorted(set(range(D)) - drop), n, p, N
+    if style == "monomial":
+        pure = monomial_rank(N * np.eye(n, dtype=np.int64))
+        others = np.setdiff1d(np.arange(D), pure)
+        if len(others) < codim:
+            raise BpfSamplingError(
+                f"cannot exclude {codim} non-power monomials at (n={n}, N={N})"
             )
-        else:
-            rows = rng.integers(0, p, size=(D - codim, D), dtype=np.int64)
-            W = GradedSubspace.from_rows(rows, n, p, N)
-            if W.dim != D - codim:
-                continue
-        if bpf_check(W):
+        drop = others[rng.choice(len(others), size=codim, replace=False)]
+        # pigeonhole: a monomial of degree m > n(N-1) has an exponent >= N, so
+        # the pure powers give S^(m-N) * W = S^m at m = bpf_default_mmax(n, N)
+        return GradedSubspace.span_of_monomials(np.setdiff1d(np.arange(D), drop),
+                                                n, p, N)
+    if style != "dense":
+        raise ValueError(f"style must be 'dense' or 'monomial', got {style!r}")
+    for _ in range(BPF_SAMPLE_TRIES):
+        rows = rng.integers(0, p, size=(D - codim, D), dtype=np.int64)
+        W = GradedSubspace.from_rows(rows, n, p, N)
+        if W.dim == D - codim and bpf_check(W):
             return W
     raise BpfSamplingError(
         f"no certified base-point-free W after {BPF_SAMPLE_TRIES} tries "
@@ -455,7 +459,7 @@ DENSE_COST_LIMIT = 2e9
 def green_scan(n: int, N: int, codims, a_max: int, s_max: int, trials: int,
                p: int, rng: np.random.Generator,
                style: str = "auto") -> list[GreenCell]:
-    """Evaluate middle exactness over the (a, s) grid for `trials` certified
+    """Evaluate middle exactness over the (a, s) grid for `trials` sampled
     base-point-free subsystems of each listed codimension."""
     if trials < 1 or a_max < 0 or s_max < 0:
         raise ValueError(f"need trials >= 1, a_max >= 0 and s_max >= 0, got "

@@ -68,6 +68,8 @@ class GradedSubspace:
         """Subspace spanned by the listed graded-lex basis monomials."""
         D = dim_graded(n, degree)
         idx = sorted(set(int(i) for i in indices))
+        if idx and (idx[0] < 0 or idx[-1] >= D):
+            raise ValueError(f"monomial indices must lie in range({D}), got {idx}")
         B = np.zeros((len(idx), D), dtype=np.int64)
         for r, c in enumerate(idx):
             B[r, c] = 1

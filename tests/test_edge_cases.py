@@ -90,6 +90,14 @@ def test_empty_inputs_take_the_general_path(p):
     assert A.contains(Z) and Z.contains(Z) and not Z.contains(A), tag
     for B, C in [(A, Z), (Z, A), (Z, Z)]:
         assert subspace_intersection(B, C) == Z, tag
+    # a zero W is monomial-spanned too; neither path takes it, nor s < 0
+    for module in (None, ring):
+        for s in range(3):
+            with pytest.raises(ValueError, match="nonzero"):
+                middle_exactness(GradedSubspace.zero(n, p, N), 1, s, ring=module)
+        for s in (-1, -2):
+            with pytest.raises(ValueError, match="s must be"):
+                middle_exactness(full, 1, s, ring=module)
     one = GradedSubspace.full(n, p, 1)
     assert socle_pairing_rank(ring, one, GradedSubspace.full(n, p, 2)) == 3, tag
     assert socle_pairing_rank(ring, GradedSubspace.zero(n, p, 1), GradedSubspace.full(n, p, 2)) == 0, tag

@@ -17,7 +17,7 @@ from jacring.koszul import (
 )
 from jacring.modp import SizeBudgetError, matmul_gfp, rank_gfp
 from jacring.polynomials import dim_graded, monomial_array
-from jacring.spaces import GradedSubspace, bpf_check, product_span
+from jacring.spaces import GradedSubspace, bpf_check, bpf_default_mmax, product_span
 from jacring.yukawa import power_span
 
 
@@ -210,20 +210,43 @@ def test_sample_bpf_subsystem(monkeypatch):
     with pytest.raises(BpfSamplingError):
         # a codim-2 system in S^2 over 2 variables always has a base point
         sample_bpf_subsystem(2, 2, 2, P, rng)
+    for style in ("monomials", "auto"):
+        with pytest.raises(ValueError, match="'dense' or 'monomial'"):
+            sample_bpf_subsystem(3, 3, 2, P, rng, style=style)
+    with pytest.raises(ValueError, match="'dense' or 'monomial'"):
+        green_scan(2, 2, [1], 1, 1, 1, P, rng, style="monomials")
 
 
 def test_sample_bpf_monomial_keeps_pure_powers(monkeypatch):
     # at the largest codimension only the pure powers x_i^N are left; a
     # wrong index for them would drop one and leave a base point.  The
-    # pure powers have no common zero, so the check asserts the pivots and
-    # skips bpf_check, which alone takes 10 s at (n, N) = (5, 4).
-    monkeypatch.setattr(koszul, "bpf_check", lambda W: True)
+    # monomial sampler certifies nothing (the pure powers have no common
+    # zero), so a call to bpf_check fails the test; at (n, N) = (5, 4) it
+    # alone would take 10 s.
+    def no_check(W):
+        raise AssertionError("the monomial sampler called bpf_check")
+
+    monkeypatch.setattr(koszul, "bpf_check", no_check)
     for n in range(1, 6):
         for N in range(1, 5):
             W = sample_bpf_subsystem(n, N, dim_graded(n, N) - n, P,
                                      np.random.default_rng(n * N), style="monomial")
             E = monomial_array(n, N)[list(W.pivots)]
             assert np.array_equal(E, N * np.eye(n, dtype=np.int64)), (n, N)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_sample_bpf_monomial_is_verified_within_default_mmax(p):
+    # the sampler skips bpf_check because the pure powers give S^m at
+    # m = bpf_default_mmax(n, N); the real check must agree at every codim
+    for n in range(1, 5):
+        for N in range(1, 4):
+            for codim in range(dim_graded(n, N) - n + 1):
+                W = sample_bpf_subsystem(n, N, codim, p, np.random.default_rng(codim),
+                                         style="monomial")
+                res = bpf_check(W)
+                assert W.codim == codim and res.verified, (n, N, codim)
+                assert res.degree <= bpf_default_mmax(n, N), (n, N, codim)
 
 
 def test_green_scan_small():

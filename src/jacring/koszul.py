@@ -34,11 +34,11 @@ Two evaluation paths compute the same defect:
   - t = 3, forest rows: im d_3 lies in ker d_2, and a 1-cycle supported on
     a forest is zero, so no nonzero element of im d_3 vanishes outside a
     spanning forest's edges.  Deleting those rows of d_3 keeps its rank.
-  - singleton peeling: the nonzero of a row or column with one nonzero is
-    a unit, and clears the rest of its column or row by elementary
-    operations.  So it adds 1 to the rank, and its row and column can be
-    deleted.  Once the forest rows are gone most triangles keep one edge,
-    and peeling usually empties the strand.  It cannot empty the triangles
+  - singleton peeling, as every `modp.rank_gfp` applies it: the nonzero
+    of a row or column with one nonzero adds 1 to the rank, and its row and
+    column can be deleted.  Here it runs on a batch of strands at once.
+    Once the forest rows are gone most triangles keep one edge, and
+    peeling usually empties the strand.  It cannot empty the triangles
     of an acyclic 2-complex that is not collapsible, such as the dunce hat,
     since a full matching would be a discrete gradient with one critical
     vertex.  Only what is left, the core, is eliminated.
@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .jacobian import JacobianRing
-from .modp import check_budget, rank_gfp
+from .modp import _peel, check_budget, rank_gfp
 from .polynomials import dim_graded, monomial_array, monomial_rank
 from .spaces import GradedSubspace, bpf_check, multiplication_matrix
 
@@ -271,29 +271,6 @@ def _forest(edge_fits: np.ndarray, w: int) -> np.ndarray:
     alpha, v = np.nonzero(parent >= 0)
     forest[alpha, index[v, parent[alpha, v]]] = True
     return forest
-
-
-def _peel(rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
-    """Singleton peeling of the nonzero pattern (rows[i], cols[i]) of a
-    matrix whose nonzeros are units: a row or column with one nonzero adds 1
-    to the rank, and goes together with that nonzero's column or row.
-    Returns the number of such pairs and the mask of the nonzeros left."""
-    left = np.ones(len(rows), dtype=bool)
-    pairs = 0
-    while True:
-        r, c = rows[left], cols[left]
-        single = np.flatnonzero((np.bincount(r) == 1)[r] | (np.bincount(c) == 1)[c])
-        if not single.size:
-            return pairs, left
-        # one pair per row and per column; a singleton row and a singleton
-        # column share a line only at the same nonzero
-        single = single[np.unique(r[single], return_index=True)[1]]
-        single = single[np.unique(c[single], return_index=True)[1]]
-        pairs += single.size
-        dead_rows = np.zeros(rows.max() + 1, dtype=bool)
-        dead_cols = np.zeros(cols.max() + 1, dtype=bool)
-        dead_rows[r[single]] = dead_cols[c[single]] = True
-        left &= ~(dead_rows[rows] | dead_cols[cols])
 
 
 def _strand_nonzeros(fits: list[np.ndarray], t: int) -> tuple[np.ndarray, ...]:

@@ -1,12 +1,24 @@
-"""Exact dense linear algebra over a prime field GF(p).
+"""Exact linear algebra over a prime field GF(p).
 
-Matrices are numpy int64 arrays with entries in [0, p); inputs may be any
-integer arrays that int64 holds.  Elimination runs exactly in int64; only
-`matmul_gfp` uses float64, for BLAS, which is exact while p**2 < 2**53
-(the default modulus 65521 leaves ample headroom).  Each pivot touches
-only the nonzero columns of its row, so the cost of an elimination follows
-its fill-in, not its shape, and one scan of each pivot column both finds
-the pivot and names the rows it updates.  All routines are pure functions.
+Matrices are numpy integer arrays, and results have entries in [0, p).
+Inputs may be any integer arrays that int64 holds.  An input whose entries
+already lie in [0, p) is read as it is; only one with an entry outside that
+range is reduced, into an int64 copy.  Elimination runs exactly in int64;
+only `matmul_gfp` uses float64, for BLAS, which is exact while p**2 < 2**53
+(the default modulus 65521 leaves ample headroom).
+
+`rank_gfp` first peels singletons off the nonzero pattern (structured
+Gaussian elimination, LaMacchia-Odlyzko 1990): the nonzero of a row or
+column with one nonzero is a unit that clears the rest of its column or
+row by elementary operations, so it adds 1 to the rank, and its row and
+column can be deleted.  Only what is left, the core, is eliminated.  The
+pattern is built only when its index pairs weigh no more than the int64
+copy that dense elimination makes, so denser input is eliminated directly.
+
+Each pivot touches only the nonzero columns of its row, so the cost of an
+elimination follows its fill-in, not its shape, and one scan of each pivot
+column both finds the pivot and names the rows it updates.  All routines
+are pure functions.
 """
 
 from __future__ import annotations
@@ -77,18 +89,55 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _as_int64(M: np.ndarray, p: int) -> np.ndarray:
-    # one fresh copy, reduced in place, for peak memory on large Jacobian
-    # pieces; "safe" refuses input that int64 may not hold, as uint64 or float
-    A = np.asarray(M).astype(np.int64, casting="safe")
+def _residues(M: np.ndarray, p: int) -> np.ndarray:
+    """M with its entries in [0, p): M itself when they already are, else a
+    reduced int64 copy.  Refuses input that int64 may not hold, as uint64
+    or float."""
+    A = np.asarray(M)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    return np.remainder(A, p, out=A)
+    if not np.can_cast(A.dtype, np.int64, "safe"):
+        raise TypeError(f"cannot hold {A.dtype} entries exactly in int64")
+    if A.size and (A.min() < 0 or A.max() >= p):
+        A = A.astype(np.int64)
+        np.remainder(A, p, out=A)
+    return A
 
 
-def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of a reduced copy of M; returns (matrix, pivot columns)."""
-    A = _as_int64(M, p)
+def _as_int64(M: np.ndarray, p: int) -> np.ndarray:
+    """A fresh int64 copy of M with entries in [0, p), for elimination in place."""
+    M = np.asarray(M)
+    A = _residues(M, p)
+    return A.astype(np.int64, copy=A is M)
+
+
+def _peel(rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Singleton peeling of the nonzero pattern (rows[i], cols[i]) of a
+    matrix whose nonzeros are units: a row or column with one nonzero adds 1
+    to the rank, and goes together with that nonzero's column or row.
+    Returns the number of such pairs and the mask of the nonzeros left."""
+    left = np.ones(len(rows), dtype=bool)
+    pairs = 0
+    while True:
+        r, c = rows[left], cols[left]
+        single = np.flatnonzero((np.bincount(r) == 1)[r] | (np.bincount(c) == 1)[c])
+        if not single.size:
+            return pairs, left
+        # one pair per row and per column; a singleton row and a singleton
+        # column share a line only at the same nonzero
+        single = single[np.unique(r[single], return_index=True)[1]]
+        single = single[np.unique(c[single], return_index=True)[1]]
+        pairs += single.size
+        dead_rows = np.zeros(rows.max() + 1, dtype=bool)
+        dead_cols = np.zeros(cols.max() + 1, dtype=bool)
+        dead_rows[r[single]] = dead_cols[c[single]] = True
+        left &= ~(dead_rows[rows] | dead_cols[cols])
+
+
+def _echelon(A: np.ndarray, p: int, reduced: bool) -> list[int]:
+    """Row echelon form, in place, of the int64 matrix A with entries in
+    [0, p); returns the pivot columns.  With `reduced` it is the RREF;
+    without, the pivot rows are left unscaled, which a rank does not need."""
     rows, cols = A.shape
     r = 0
     pivots: list[int] = []
@@ -100,7 +149,8 @@ def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
             continue
         i = r + int(nz[0])
         if i != r:
-            A[[r, i]] = A[[i, r]]
+            # rows r and below are zero left of c
+            A[[r, i], c:] = A[[i, r], c:]
         # row i now holds the old row r, zero in column c, so the scan that
         # found the pivot also names every row below r to update
         others = r + nz[1:]
@@ -112,23 +162,40 @@ def _echelon(M: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
                 others = np.concatenate((above, others))
         support = c + A[r, c:].nonzero()[0]
         inv = inv_mod(int(A[r, c]), p)
-        A[r, support] = (A[r, support] * inv) % p
+        if reduced:
+            A[r, support] = (A[r, support] * inv) % p
         if others.size:
             at = others[:, None]
-            A[at, support] = (A[at, support] - A[at, c] * A[r, support]) % p
+            factors = A[at, c] if reduced else A[at, c] * inv % p
+            A[at, support] = (A[at, support] - factors * A[r, support]) % p
         pivots.append(c)
         r += 1
-    return A, pivots
+    return pivots
 
 
 def rank_gfp(M: np.ndarray, p: int) -> int:
-    _, pivots = _echelon(M, p, reduced=False)
-    return len(pivots)
+    """Rank over GF(p): singleton pairs peeled off the nonzero pattern, plus
+    the rank of the dense core they leave (see the module docstring)."""
+    M = np.asarray(M)
+    A = _residues(M, p)
+    if 2 * np.count_nonzero(A) > A.size:
+        # the index pairs would outweigh the int64 copy
+        return len(_echelon(A.astype(np.int64, copy=A is M), p, reduced=False))
+    # one flat scan of a boolean mask: numpy's 2-d nonzero is far slower
+    rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
+    pairs, left = _peel(rows, cols)
+    rows, cols = rows[left], cols[left]
+    live_rows, r = np.unique(rows, return_inverse=True)
+    live_cols, c = np.unique(cols, return_inverse=True)
+    core = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
+    core[r, c] = A[rows, cols]
+    return pairs + len(_echelon(core, p, reduced=False))
 
 
 def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; zero rows are dropped."""
-    E, pivots = _echelon(M, p, reduced=True)
+    E = _as_int64(M, p)
+    pivots = _echelon(E, p, reduced=True)
     return E[: len(pivots)].copy(), pivots  # a view would keep all rows of E
 
 
@@ -147,8 +214,8 @@ def nullspace_gfp(M: np.ndarray, p: int) -> np.ndarray:
 
 def matmul_gfp(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact A @ B mod p via float64 BLAS, chunking the inner dimension."""
-    Af = _as_int64(A, p).astype(np.float64)
-    Bf = _as_int64(B, p).astype(np.float64)
+    Af = _residues(A, p).astype(np.float64)
+    Bf = _residues(B, p).astype(np.float64)
     inner = Af.shape[1]
     if inner != Bf.shape[0]:
         raise ValueError("shape mismatch")

@@ -81,16 +81,20 @@ def monomial_array(n: int, k: int) -> np.ndarray:
     return E
 
 
-def monomial_rank(E) -> np.ndarray:
-    """The inverse of `monomial_array`: the rank of each exponent row of E
-    (the last axis) in the graded-lex basis of its degree, over any leading
-    shape.  Each variable adds the start of the block its exponent picks."""
-    E = np.asarray(E, dtype=np.int64)
-    rest = E.sum(axis=-1)
-    starts = _block_starts(E.shape[-1], int(rest.max(initial=0)))
-    rank = np.zeros(rest.shape, dtype=np.int64)
-    for i in range(E.shape[-1] - 1):
-        rest -= E[..., i]
+def monomial_rank(*parts) -> np.ndarray:
+    """The inverse of `monomial_array`: the rank of each exponent row (the
+    last axis) of the sum of the broadcastable `parts`, in the graded-lex
+    basis of its degree, over any leading shape.  Each variable adds the
+    start of the block its exponent picks.  The parts are summed one
+    variable at a time, so their sum is never built with its last axis."""
+    parts = [np.asarray(E, dtype=np.int64) for E in parts]
+    rest = sum(E.sum(axis=-1) for E in parts)
+    n = parts[0].shape[-1]
+    starts = _block_starts(n, int(np.max(rest, initial=0)))
+    rank = np.zeros(np.shape(rest), dtype=np.int64)
+    for i in range(n - 1):
+        for E in parts:
+            rest -= E[..., i]
         rank += starts[i, rest]
     return rank
 
@@ -99,7 +103,7 @@ def monomial_rank(E) -> np.ndarray:
 def product_index_table(n: int, a: int, b: int) -> np.ndarray:
     """table[i, j] = index in S^(a+b) of the product of monomial i of S^a
     with monomial j of S^b."""
-    return monomial_rank(monomial_array(n, a)[:, None, :] + monomial_array(n, b)[None, :, :])
+    return monomial_rank(monomial_array(n, a)[:, None, :], monomial_array(n, b)[None, :, :])
 
 
 class Polynomial:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,26 @@ def _elimination_cases(p):
     yield "rank 4", 10, low
     for name, M in _integer_inputs(p, 11):
         yield name, 11, M
+    # stored multiples of p on singleton lines: peeling the unreduced
+    # pattern would count rank 5, not 2
+    stored = np.array([[p, 0, 0, 0, 0, 0],
+                       [0, 3, 0, 0, -p, 0],
+                       [0, 0, 2 * p, 0, 0, 0],
+                       [0, 4, 0, 5, 0, 0],
+                       [0, 0, 0, 0, 0, -p]])
+    yield "stored multiples of p", 12, stored
+    rng = np.random.default_rng(13)
+    lower = np.tril(rng.integers(1, p, size=(30, 30)) * (rng.random((30, 30)) < 0.1))
+    lower[np.diag_indices(30)] = rng.integers(1, p, size=30)
+    yield "fully peelable triangle", 13, lower[rng.permutation(30)][:, rng.permutation(30)]
+    # a rank-2 core with no singleton line, reached only through a chain
+    # of singleton columns down a bidiagonal block that also meets the core
+    core = matmul_gfp(rng.integers(1, p, size=(4, 2)), rng.integers(1, p, size=(2, 4)), p)
+    chain = np.zeros((24, 24), dtype=np.int64)
+    chain[:4, :4] = core
+    chain[4:, 4:] = np.diag(rng.integers(1, p, size=20)) + np.diag(rng.integers(1, p, size=19), -1)
+    chain[4, :4] = rng.integers(1, p, size=4)
+    yield "singular core behind chains", 13, chain[rng.permutation(24)][:, rng.permutation(24)]
     for seed, (d, N) in enumerate(((1, 3), (2, 3), (1, 4)), start=20):
         rng = np.random.default_rng(seed)
         ring = random_smooth(d, N, p, rng)
@@ -204,6 +226,8 @@ def _elimination_cases(p):
         for k in range(N - 1, ring.X.socle_degree + 2):
             yield f"J^{k} of random smooth (d={d}, N={N})", seed, ring._jacobian_rows(k)
             yield f"J^{k} of dense form (d={d}, N={N})", seed, dense._jacobian_rows(k)
+        yield f"square rows of random smooth (d={d}, N={N})", seed, \
+            ring._macaulay_rows(ring.X.socle_degree + 1)
 
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
@@ -242,6 +266,21 @@ def test_refuses_input_int64_cannot_hold():
                      lambda: nullspace_gfp(M, P), lambda: matmul_gfp(M, M.T, P)):
             with pytest.raises(TypeError):
                 call()
+
+
+def test_dense_rank_makes_one_int64_copy():
+    # a full upper triangle is just over half nonzero, so its index pairs
+    # would outweigh the int64 copy; its elimination updates no row, so the
+    # copy is all the memory a rank needs
+    M = np.triu(np.random.default_rng(14).integers(1, P, size=(400, 400)))
+    for A in (M, M.astype(np.uint16)):
+        tracemalloc.start()
+        try:
+            assert rank_gfp(A, P) == 400
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * M.size * 8, (A.dtype, peak)
 
 
 def test_rref_is_compact():

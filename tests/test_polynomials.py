@@ -68,6 +68,8 @@ def test_monomial_array_matches_exponents():
         for j in range(7):
             assert R[i, j] == monomial_rank(E[i, j]) == monomial_index(3, int(E[i, j].sum()))[
                 tuple(int(e) for e in E[i, j])]
+    # broadcastable parts rank as their sum
+    assert np.array_equal(monomial_rank(E[:, :1], E[:1], E), monomial_rank(E[:, :1] + E[:1] + E))
 
 
 def test_product_index_table():

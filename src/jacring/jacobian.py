@@ -12,6 +12,11 @@ rows are rows of J^(sigma+1), so their full rank proves the equality, but
 their determinant carries an extraneous factor that may vanish on a smooth
 form, so a short rank proves nothing.
 
+The rows of J^k are assembled once, as their nonzeros (row, col, value)
+read off the monomial product table (`_jacobian_nonzeros`).  The
+certificate ranks those nonzeros and builds no dense matrix; only the
+degree pieces, which need an RREF, scatter them into dense rows.
+
 Forms whose partial derivatives are all monomials (Fermat, notably) take a
 combinatorial path: the degree-k piece of the ideal is a span of monomials,
 namely the monomials some partial divides, so no elimination is needed.
@@ -25,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modp import check_budget, matmul_gfp, rank_gfp, rref_gfp
-from .polynomials import Polynomial, dim_graded, monomial_array, monomial_exponents
-from .spaces import GradedSubspace, multiplication_matrix
+from .modp import check_budget, matmul_gfp, rank_of_nonzeros, rref_gfp
+from .polynomials import (Polynomial, dim_graded, monomial_array, monomial_exponents,
+                          product_index_table)
+from .spaces import GradedSubspace
 
 
 RANDOM_SMOOTH_TRIES = 60
@@ -178,31 +184,48 @@ class JacobianRing:
 
     # -- degree pieces -------------------------------------------------------
 
-    def _jacobian_rows(self, k: int) -> np.ndarray:
-        """Rows spanning J^k in S^k: each partial times each monomial of
-        degree k - (N-1).  Stored in the smallest unsigned type holding
-        [0, p), since elimination works on its own int64 copy."""
-        n, b = self.X.n, self.X.N - 1
-        a = k - b
-        check_budget(dim_graded(n, a) * len(self.partials), dim_graded(n, k))
-        dtype = np.min_scalar_type(self.X.p - 1)
-        return np.vstack([multiplication_matrix(g.to_vector(b), n, b, a).T.astype(dtype)
-                          for g in self.partials])
+    def _jacobian_nonzeros(self, k: int, square: bool = False
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzeros (row, col, value) of the rows spanning J^k in S^k: each
+        partial times each monomial q of degree k - (N-1), partial-major,
+        the q in graded-lex order.  No position repeats, because distinct
+        terms of a partial times one q are distinct monomials.
 
-    def _macaulay_rows(self, k: int) -> np.ndarray:
-        """Macaulay's square subset of the J^k rows, for k > n(N-2) and no
-        zero partial: monomial m of S^k takes the row (m / x_i^(N-1)) d_i f
-        for the least i with x_i^(N-1) | m, which exists by pigeonhole.  So
-        partial i contributes its multiples q with q_j < N-1 for all j < i,
-        a slice of the rows `_jacobian_rows` stacks for it."""
-        n, N = self.X.n, self.X.N
-        a, D = k - (N - 1), dim_graded(n, k)
-        check_budget(D, D)
-        dtype = np.min_scalar_type(self.X.p - 1)
-        low = monomial_array(n, a) < N - 1
-        return np.vstack([
-            multiplication_matrix(g.to_vector(N - 1), n, N - 1, a).T[low[:, :i].all(axis=1)]
-            .astype(dtype) for i, g in enumerate(self.partials)])
+        With `square`, only Macaulay's square subset, numbered in that order,
+        for k > n(N-2) and no zero partial: monomial m of S^k takes the row
+        (m / x_i^(N-1)) d_i f for the least i with x_i^(N-1) | m, which
+        exists by pigeonhole.  So partial i keeps its multiples q with
+        q_j < N-1 for all j < i.
+
+        The budget counts the cells of the matrix the nonzeros describe,
+        because the core a rank leaves after peeling can be that large."""
+        n, b = self.X.n, self.X.N - 1
+        T = product_index_table(n, k - b, b)
+        D = dim_graded(n, k)
+        check_budget(D if square else len(T) * len(self.partials), D)
+        low = monomial_array(n, k - b) < b
+        rows, cols, vals = [], [], []
+        start = 0
+        for i, g in enumerate(self.partials):
+            q = np.flatnonzero(low[:, :i].all(axis=1)) if square else np.arange(len(T))
+            v = g.to_vector(b)
+            terms = np.flatnonzero(v)
+            rows.append(np.repeat(np.arange(start, start + len(q)), len(terms)))
+            cols.append(T[q[:, None], terms].ravel())
+            vals.append(np.tile(v[terms], len(q)))
+            start += len(q)
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+    def _jacobian_rows(self, k: int) -> np.ndarray:
+        """The rows of `_jacobian_nonzeros(k)`, dense, in the smallest
+        unsigned type holding [0, p), since elimination works on its own
+        int64 copy."""
+        rows, cols, vals = self._jacobian_nonzeros(k)
+        n, b = self.X.n, self.X.N - 1
+        M = np.zeros((dim_graded(n, k - b) * len(self.partials), dim_graded(n, k)),
+                     dtype=np.min_scalar_type(self.X.p - 1))
+        M[rows, cols] = vals
+        return M
 
     def _degree_data(self, k: int) -> _DegreeData:
         if k in self._cache:
@@ -270,21 +293,22 @@ class JacobianRing:
         return self._certificate
 
     def _certify(self) -> SmoothnessCertificate:
-        """Square Macaulay rows first, full rank only if they are singular.
+        """Square Macaulay rows first, all rows only if they are singular.
         The square rows are J^(sigma+1) rows, so their full rank proves
         J^(sigma+1) = S^(sigma+1).  The argument is one-sided: a zero
         partial breaks the construction, and the square determinant is the
         resultant times an extraneous minor that can vanish on a smooth form,
-        so either case ranks all rows of J^(sigma+1)."""
+        so either case ranks all rows of J^(sigma+1).  Both ranks read the
+        rows' nonzeros; no dense matrix is built."""
         n, p, sigma = self.X.n, self.X.p, self.X.socle_degree
+        D = dim_graded(n, sigma + 1)
         if self.monomial_path:
             above = self.hilbert(sigma + 1)
-        elif (len(self.partials) == n and rank_gfp(self._macaulay_rows(sigma + 1), p)
-              == dim_graded(n, sigma + 1)):
+        elif (len(self.partials) == n and
+              rank_of_nonzeros(*self._jacobian_nonzeros(sigma + 1, square=True), p) == D):
             above = 0
         else:
-            rows = self._jacobian_rows(sigma + 1)
-            above = rows.shape[1] - rank_gfp(rows, p)
+            above = D - rank_of_nonzeros(*self._jacobian_nonzeros(sigma + 1), p)
         if above == 0:
             return SmoothnessCertificate(True)
         # not Artinian: eliminate at sigma only to word the reason

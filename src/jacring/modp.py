@@ -11,9 +11,14 @@ only `matmul_gfp` uses float64, for BLAS, which is exact while p**2 < 2**53
 Gaussian elimination, LaMacchia-Odlyzko 1990): the nonzero of a row or
 column with one nonzero is a unit that clears the rest of its column or
 row by elementary operations, so it adds 1 to the rank, and its row and
-column can be deleted.  Only what is left, the core, is eliminated.  The
-pattern is built only when its index pairs weigh no more than the int64
-copy that dense elimination makes, so denser input is eliminated directly.
+column can be deleted.  Only what is left, the core, is scattered into a
+dense array and eliminated.  The pattern is built only when its index
+pairs weigh no more than the int64 copy that dense elimination makes, so
+denser input is eliminated directly.  `rank_of_nonzeros` ranks a matrix
+given only as its nonzeros (row, col, value) the same way, so a caller
+that assembles sparse rows never builds them dense; it reduces the values
+mod p and drops the zeros first, so that a stored multiple of p is not
+peeled as a unit.
 
 Each pivot touches only the nonzero columns of its row, so the cost of an
 elimination follows its fill-in, not its shape, and one scan of each pivot
@@ -173,6 +178,19 @@ def _echelon(A: np.ndarray, p: int, reduced: bool) -> list[int]:
     return pivots
 
 
+def _sparse_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
+    """Rank of the matrix with nonzeros vals[i] in [1, p) at distinct
+    positions (rows[i], cols[i]): singleton pairs peeled off the pattern,
+    plus the rank of the dense core they leave."""
+    pairs, left = _peel(rows, cols)
+    rows, cols = rows[left], cols[left]
+    live_rows, r = np.unique(rows, return_inverse=True)
+    live_cols, c = np.unique(cols, return_inverse=True)
+    core = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
+    core[r, c] = vals[left]
+    return pairs + len(_echelon(core, p, reduced=False))
+
+
 def rank_gfp(M: np.ndarray, p: int) -> int:
     """Rank over GF(p): singleton pairs peeled off the nonzero pattern, plus
     the rank of the dense core they leave (see the module docstring)."""
@@ -181,15 +199,31 @@ def rank_gfp(M: np.ndarray, p: int) -> int:
     if 2 * np.count_nonzero(A) > A.size:
         # the index pairs would outweigh the int64 copy
         return len(_echelon(A.astype(np.int64, copy=A is M), p, reduced=False))
-    # one flat scan of a boolean mask: numpy's 2-d nonzero is far slower
+    # one flat scan of a boolean mask: numpy's 2-d nonzero is far slower,
+    # and a flat scan cannot name a position twice
     rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
-    pairs, left = _peel(rows, cols)
-    rows, cols = rows[left], cols[left]
-    live_rows, r = np.unique(rows, return_inverse=True)
-    live_cols, c = np.unique(cols, return_inverse=True)
-    core = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
-    core[r, c] = A[rows, cols]
-    return pairs + len(_echelon(core, p, reduced=False))
+    return _sparse_rank(rows, cols, A[rows, cols], p)
+
+
+def rank_of_nonzeros(rows, cols, vals, p: int) -> int:
+    """Rank over GF(p) of the matrix whose entry at (rows[i], cols[i]) is
+    vals[i] and every other entry is zero.  The values are reduced mod p
+    and zeros dropped before peeling; a repeated position raises
+    `ValueError`, since its entries would have to be summed."""
+    rows, cols, vals = (np.asarray(x) for x in (rows, cols, vals))
+    if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+        raise ValueError("rows, cols and vals must be 1-d of one length")
+    for x in (rows, cols, vals):
+        if x.size and not np.can_cast(x.dtype, np.int64, "safe"):
+            raise TypeError(f"cannot hold {x.dtype} entries exactly in int64")
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+    if rows.size and min(rows.min(), cols.min()) < 0:
+        raise ValueError("negative row or column index")
+    if rows.size and np.unique(rows * (int(cols.max()) + 1) + cols).size < rows.size:
+        raise ValueError("repeated (row, col) position")
+    vals = vals.astype(np.int64) % p
+    keep = vals != 0
+    return _sparse_rank(rows[keep], cols[keep], vals[keep], p)
 
 
 def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

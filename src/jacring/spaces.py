@@ -71,8 +71,7 @@ class GradedSubspace:
         if idx and (idx[0] < 0 or idx[-1] >= D):
             raise ValueError(f"monomial indices must lie in range({D}), got {idx}")
         B = np.zeros((len(idx), D), dtype=np.int64)
-        for r, c in enumerate(idx):
-            B[r, c] = 1
+        B[np.arange(len(idx)), idx] = 1
         return cls(n, p, degree, B, tuple(idx))
 
     # -- queries -------------------------------------------------------------
@@ -94,7 +93,7 @@ class GradedSubspace:
 
     def is_monomial_spanned(self) -> bool:
         """True when every basis row is a single monomial."""
-        return all(np.count_nonzero(row) == 1 for row in self.basis)
+        return bool((np.count_nonzero(self.basis, axis=1) == 1).all())
 
     def _check_mate(self, other: "GradedSubspace") -> None:
         if (self.n, self.p, self.degree) != (other.n, other.p, other.degree):

@@ -17,15 +17,16 @@ from jacring.jacobian import (
     jacobian_generators,
     random_smooth,
 )
-from jacring.modp import matmul_gfp, rank_gfp, rref_gfp
+from jacring.modp import matmul_gfp, rank_of_nonzeros, rref_gfp
 from jacring.polynomials import (
     Polynomial,
     dim_graded,
+    monomial_array,
     monomial_exponents,
     monomial_index,
     parse_polynomial,
 )
-from jacring.spaces import GradedSubspace
+from jacring.spaces import GradedSubspace, multiplication_matrix
 
 
 def fermat_series(d, N, kmax):
@@ -368,8 +369,61 @@ def test_square_rows_are_least_i_jacobian_rows():
                 q = m[:i] + (m[i] - N + 1,) + m[i + 1:]
                 picks.append(i * len(multiples) + multiples[q])
             assert len(set(picks)) == dim_graded(n, k), (n, N)
-            square = ring._macaulay_rows(k)
+            D = dim_graded(n, k)
+            square = _scatter(ring._jacobian_nonzeros(k, square=True), (D, D))
             assert np.array_equal(square, ring._jacobian_rows(k)[sorted(picks)]), (n, N)
+
+
+def _scatter(nonzeros, shape):
+    rows, cols, vals = nonzeros
+    M = np.zeros(shape, dtype=np.min_scalar_type(vals.max(initial=0)))
+    M[rows, cols] = vals
+    return M
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_jacobian_nonzeros_match_multiplication_matrices(p):
+    # the assembler against multiplication_matrix(d_i f, a).T, one partial
+    # at a time: every row of J^k, and Macaulay's square subset at sigma+1
+    # (the multiples q with q_j < N-1 for j < i), on dense forms and on a
+    # form whose partial d_2 f is zero
+    rng = np.random.default_rng(25)
+    forms = []
+    for n in range(2, 6):
+        for N in range(3, 6):
+            terms = {m: int(rng.integers(1, p)) for m in monomial_exponents(n, N)}
+            forms.append(Hypersurface(Polynomial(n, p, terms), n - 2, N))
+    forms.append(Hypersurface(parse_polynomial("x0^3 + 2*x0*x1^2", 3, p), 1, 3))
+    for X in forms:
+        ring = JacobianRing(X)
+        n, b = X.n, X.N - 1
+        ks = [b - 1, b, X.socle_degree + 1]
+        for k, square in [(k, False) for k in ks] + [(X.socle_degree + 1, True)]:
+            if square and len(ring.partials) < n:
+                continue
+            msg = (str(X.f)[:40], n, X.N, k, square, p)
+            D, a = dim_graded(n, k), k - b
+            low = monomial_array(n, a) < b
+            rows, cols, vals = ring._jacobian_nonzeros(k, square)
+            assert rows.dtype == cols.dtype == np.int64, msg
+            assert vals.min(initial=1) > 0 and vals.max(initial=0) < p, msg
+            dense = None if square else ring._jacobian_rows(k)
+            start = 0
+            for i, g in enumerate(ring.partials):
+                ref = multiplication_matrix(g.to_vector(b), n, b, a).T
+                if square:
+                    ref = ref[low[:, :i].all(axis=1)]
+                block = (rows >= start) & (rows < start + len(ref))
+                got = _scatter((rows[block] - start, cols[block], vals[block]), ref.shape)
+                assert np.array_equal(got, ref), msg + (i,)
+                if dense is not None:
+                    assert np.array_equal(dense[start:start + len(ref)], ref), msg + (i,)
+                start += len(ref)
+                del ref, got  # a 1820x4845 int64 block at n = N = 5
+            assert start == (D if square else len(ring.partials) * dim_graded(n, a)), msg
+            assert rows.max(initial=-1) < start, msg
+            if dense is not None:
+                assert dense.shape == (start, D), msg
 
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
@@ -379,11 +433,16 @@ def test_certificate_falls_back_on_singular_square_rows(monkeypatch, p):
     X = Hypersurface(parse_polynomial("x0^2*x1 + x1^2*x2 + x2^2*x0", 3, p), 1, 3)
     ring = JacobianRing(X)
     assert not ring.monomial_path
-    assert rank_gfp(ring._macaulay_rows(4), p) == 13
+    assert rank_of_nonzeros(*ring._jacobian_nonzeros(4, square=True), p) == 13
     full = []
-    jacobian_rows = JacobianRing._jacobian_rows
-    monkeypatch.setattr(JacobianRing, "_jacobian_rows",
-                        lambda self, k: full.append(k) or jacobian_rows(self, k))
+    nonzeros = JacobianRing._jacobian_nonzeros
+
+    def record(self, k, square=False):
+        if not square:
+            full.append(k)
+        return nonzeros(self, k, square)
+
+    monkeypatch.setattr(JacobianRing, "_jacobian_nonzeros", record)
     cert = ring.smoothness_certificate()
     assert full == [4]
     assert (cert.smooth, cert.reason) == _eliminated_certificate(X) == (True, None)
@@ -391,10 +450,14 @@ def test_certificate_falls_back_on_singular_square_rows(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
 def test_certificate_skips_square_rows_with_zero_partial(monkeypatch, p):
-    def square_rows(self, k):
-        raise AssertionError("square rows built for a form with a zero partial")
+    nonzeros = JacobianRing._jacobian_nonzeros
 
-    monkeypatch.setattr(JacobianRing, "_macaulay_rows", square_rows)
+    def rows_only(self, k, square=False):
+        if square:
+            raise AssertionError("square rows built for a form with a zero partial")
+        return nonzeros(self, k, square)
+
+    monkeypatch.setattr(JacobianRing, "_jacobian_nonzeros", rows_only)
     paths = set()
     for text in ("x0^3", "x0^3 + x0*x1^2"):
         X = Hypersurface(parse_polynomial(text, 3, p), 1, 3)

@@ -14,10 +14,11 @@ from jacring.modp import (
     matmul_gfp,
     nullspace_gfp,
     rank_gfp,
+    rank_of_nonzeros,
     rref_gfp,
     validate_prime,
 )
-from jacring.polynomials import Polynomial, monomial_exponents
+from jacring.polynomials import Polynomial, dim_graded, monomial_exponents
 from jacring.spaces import GradedSubspace
 
 P = DEFAULT_PRIME
@@ -226,8 +227,11 @@ def _elimination_cases(p):
         for k in range(N - 1, ring.X.socle_degree + 2):
             yield f"J^{k} of random smooth (d={d}, N={N})", seed, ring._jacobian_rows(k)
             yield f"J^{k} of dense form (d={d}, N={N})", seed, dense._jacobian_rows(k)
-        yield f"square rows of random smooth (d={d}, N={N})", seed, \
-            ring._macaulay_rows(ring.X.socle_degree + 1)
+        k = ring.X.socle_degree + 1
+        rows, cols, vals = ring._jacobian_nonzeros(k, square=True)
+        square = np.zeros((dim_graded(d + 2, k),) * 2, dtype=np.int64)
+        square[rows, cols] = vals
+        yield f"square rows of random smooth (d={d}, N={N})", seed, square
 
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
@@ -237,12 +241,33 @@ def test_elimination_matches_exact_reference(p):
         rows = M.tolist()
         R, pivots = _gauss_jordan(rows, p)
         assert rank_gfp(M, p) == len(pivots), msg
+        at = np.nonzero(M)
+        assert rank_of_nonzeros(*at, M[at], p) == len(pivots), msg
         E, epivots = rref_gfp(M, p)
         assert epivots == pivots, msg
         assert E.tolist() == R, msg
         K = nullspace_gfp(M, p)
         assert K.shape == (M.shape[1] - len(pivots), M.shape[1]), msg
         assert K.tolist() == _reference_kernel(rows, M.shape[1], p), msg
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_rank_of_nonzeros_reduces_and_refuses_repeats(p):
+    # the stored p, -p and 2p are zero mod p: a peel of the unreduced
+    # pattern would count each as a unit, rank 5 instead of 2
+    rows = np.array([0, 1, 1, 2, 3, 3, 4])
+    cols = np.array([0, 1, 4, 2, 1, 3, 5])
+    vals = np.array([p, 3, -p, 2 * p, 4, 5, -p])
+    assert rank_of_nonzeros(rows, cols, vals, p) == 2
+    empty = np.zeros(0, dtype=np.int64)
+    assert rank_of_nonzeros(empty, empty, empty, p) == 0
+    assert rank_of_nonzeros([0], [3], [p], p) == 0
+    with pytest.raises(ValueError, match="repeated"):
+        rank_of_nonzeros([0, 1, 0], [2, 2, 2], [1, 1, p - 1], p)
+    with pytest.raises(ValueError, match="negative"):
+        rank_of_nonzeros([0, -1], [0, 1], [1, 1], p)
+    with pytest.raises(TypeError):
+        rank_of_nonzeros([0], [0], [1.5], p)
 
 
 def test_matmul_exact_vs_python_int():

@@ -23,6 +23,9 @@ def test_constructors():
     assert Z.dim == 0 and F.contains(Z)
     M = GradedSubspace.span_of_monomials([0, 2], 2, P, 3)
     assert M.dim == 2 and M.is_monomial_spanned()
+    assert GradedSubspace.span_of_monomials([2, 0, 2], 2, P, 3) == M
+    assert M.pivots == (0, 2) and M.basis.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
+    assert not GradedSubspace.from_rows([[1, 1, 0, 0]], 2, P, 3).is_monomial_spanned()
     for bad in ([-1], [0, 4]):  # dim S^3 = 4 in two variables
         with pytest.raises(ValueError, match="range"):
             GradedSubspace.span_of_monomials(bad, 2, P, 3)

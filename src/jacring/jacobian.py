@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modp import check_budget, matmul_gfp, rank_of_nonzeros, rref_gfp
-from .polynomials import (Polynomial, dim_graded, monomial_array, monomial_exponents,
-                          product_index_table)
-from .spaces import GradedSubspace
+from .polynomials import Polynomial, dim_graded, monomial_array, monomial_exponents
+from .spaces import GradedSubspace, multiple_columns
 
 
 RANDOM_SMOOTH_TRIES = 60
@@ -188,8 +187,7 @@ class JacobianRing:
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzeros (row, col, value) of the rows spanning J^k in S^k: each
         partial times each monomial q of degree k - (N-1), partial-major,
-        the q in graded-lex order.  No position repeats, because distinct
-        terms of a partial times one q are distinct monomials.
+        the q in graded-lex order, gathered by `spaces.multiple_columns`.
 
         With `square`, only Macaulay's square subset, numbered in that order,
         for k > n(N-2) and no zero partial: monomial m of S^k takes the row
@@ -198,22 +196,22 @@ class JacobianRing:
         q_j < N-1 for all j < i.
 
         The budget counts the cells of the matrix the nonzeros describe,
-        because the core a rank leaves after peeling can be that large."""
+        because the core a rank leaves after peeling can be that large; it
+        depends only on dimensions, so it is checked before any table is
+        built."""
         n, b = self.X.n, self.X.N - 1
-        T = product_index_table(n, k - b, b)
-        D = dim_graded(n, k)
-        check_budget(D if square else len(T) * len(self.partials), D)
-        low = monomial_array(n, k - b) < b
+        a, D = k - b, dim_graded(n, k)
+        check_budget(D if square else dim_graded(n, a) * len(self.partials), D)
+        low = monomial_array(n, a) < b if square else None
         rows, cols, vals = [], [], []
         start = 0
         for i, g in enumerate(self.partials):
-            q = np.flatnonzero(low[:, :i].all(axis=1)) if square else np.arange(len(T))
-            v = g.to_vector(b)
-            terms = np.flatnonzero(v)
-            rows.append(np.repeat(np.arange(start, start + len(q)), len(terms)))
-            cols.append(T[q[:, None], terms].ravel())
-            vals.append(np.tile(v[terms], len(q)))
-            start += len(q)
+            q = np.flatnonzero(low[:, :i].all(axis=1)) if square else None
+            c, v = multiple_columns(g.to_vector(b), n, b, a, q)
+            rows.append(np.repeat(np.arange(start, start + len(c)), len(v)))
+            cols.append(c.ravel())
+            vals.append(np.tile(v, len(c)))
+            start += len(c)
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
     def _jacobian_rows(self, k: int) -> np.ndarray:

@@ -146,18 +146,29 @@ def subspace_intersection(A: GradedSubspace, B: GradedSubspace) -> GradedSubspac
     return GradedSubspace.from_rows(rows, A.n, A.p, A.degree)
 
 
+def multiple_columns(g: np.ndarray, n: int, b: int, a: int,
+                     which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the products of g, a coefficient row of S^b in n
+    variables, with the monomials of S^a at indices `which` (all of them by
+    default), as (cols, vals): product r holds vals[t] in column cols[r, t]
+    of S^(a+b).  No column repeats within a row, because distinct terms of
+    g times one monomial are distinct monomials."""
+    terms = np.flatnonzero(g)
+    T = product_index_table(n, a, b)
+    if which is not None:
+        T = T[which]
+    return T[:, terms], g[terms]
+
+
 def multiplication_matrix(g: np.ndarray, n: int, b: int, a: int) -> np.ndarray:
     """Matrix of multiplication by g, a coefficient row of S^b in n
     variables, as a map S^a -> S^(a+b), columns indexed by the basis of S^a.
     It is the transpose of a C-ordered array whose row i is g times monomial
     i of S^a, so `.T` gives product rows ready for elimination."""
-    terms = np.flatnonzero(g)
-    T = product_index_table(n, a, b)
-    rows = np.zeros((dim_graded(n, a), dim_graded(n, a + b)), dtype=np.int64)
-    # distinct terms of g times one monomial are distinct monomials, so no
-    # cell is written twice
-    rows[np.arange(len(T))[:, None], T[:, terms]] = g[terms]
-    return rows.T
+    cols, vals = multiple_columns(g, n, b, a)
+    M = np.zeros((dim_graded(n, a), dim_graded(n, a + b)), dtype=np.int64)
+    M[np.arange(len(cols))[:, None], cols] = vals
+    return M.T
 
 
 def product_span(A: GradedSubspace, B: GradedSubspace) -> GradedSubspace:

@@ -17,7 +17,7 @@ from jacring.jacobian import (
     jacobian_generators,
     random_smooth,
 )
-from jacring.modp import matmul_gfp, rank_of_nonzeros, rref_gfp
+from jacring.modp import SizeBudgetError, matmul_gfp, rank_of_nonzeros, rref_gfp
 from jacring.polynomials import (
     Polynomial,
     dim_graded,
@@ -424,6 +424,30 @@ def test_jacobian_nonzeros_match_multiplication_matrices(p):
             assert rows.max(initial=-1) < start, msg
             if dense is not None:
                 assert dense.shape == (start, D), msg
+
+
+def test_budget_refuses_before_building_tables(monkeypatch):
+    # whether the rows of J^k fit the budget depends only on dimensions, so
+    # an input over it is refused before a product table or an exponent
+    # array is built: at N = 12, d = 3 the square certificate's table alone
+    # would hold 1.85e8 cells
+    def never(*args):
+        raise AssertionError("table built before the budget check")
+
+    monkeypatch.delenv("JACRING_CELL_BUDGET", raising=False)
+    monkeypatch.setattr("jacring.spaces.product_index_table", never)
+    monkeypatch.setattr("jacring.jacobian.monomial_array", never)
+    cubic = JacobianRing(Hypersurface(parse_polynomial("x0^3 + x1^3 + x2^3 + x0*x1*x2",
+                                                       3, P), 1, 3))
+    with pytest.raises(SizeBudgetError):
+        cubic._degree_data(10_000)
+    fermat12 = " + ".join(f"x{i}^12" for i in range(4))
+    for text in (fermat12 + " + x4^12 + x0*x1^11",   # square rows
+                 fermat12 + " + x0*x1^11"):          # d_4 f = 0: all rows
+        ring = JacobianRing(Hypersurface(parse_polynomial(text, 5, P), 3, 12))
+        assert not ring.monomial_path
+        with pytest.raises(SizeBudgetError):
+            ring.smoothness_certificate()
 
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])

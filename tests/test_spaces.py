@@ -9,6 +9,7 @@ from jacring.spaces import (
     annihilator,
     bpf_check,
     colon_by_linear_forms,
+    multiple_columns,
     multiplication_matrix,
     product_span,
     subspace_intersection,
@@ -61,6 +62,25 @@ def test_dimension_formula_random():
         assert s.dim + i.dim == A.dim + B.dim
         assert A.contains(i) and B.contains(i)
         assert s.contains(A) and s.contains(B)
+
+
+def test_multiple_columns_of_chosen_monomials():
+    from jacring.polynomials import monomial_exponents
+
+    rng = np.random.default_rng(26)
+    n, a, b = 3, 3, 2
+    ms = monomial_exponents(n, a)
+    g = Polynomial(n, P, {m: int(rng.integers(1, P)) for m in monomial_exponents(n, b)[::2]})
+    which = np.array([7, 0, 4, 9])
+    cols, vals = multiple_columns(g.to_vector(b), n, b, a, which)
+    assert cols.shape == (len(which), len(g.terms)) and len(vals) == len(g.terms)
+    for r, i in enumerate(which):
+        assert len(set(cols[r].tolist())) == len(vals)
+        got = np.zeros(dim_graded(n, a + b), dtype=np.int64)
+        got[cols[r]] = vals
+        assert np.array_equal(got, (g * Polynomial(n, P, {ms[i]: 1})).to_vector(a + b))
+    cols, _ = multiple_columns(g.to_vector(b), n, b, a, np.zeros(0, dtype=np.int64))
+    assert cols.shape == (0, len(g.terms))
 
 
 def test_multiplication_matrix_agrees_with_product():

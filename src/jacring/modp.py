@@ -186,7 +186,12 @@ def _sparse_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -
     rows, cols = rows[left], cols[left]
     live_rows, r = np.unique(rows, return_inverse=True)
     live_cols, c = np.unique(cols, return_inverse=True)
-    core = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
+    shape = (len(live_rows), len(live_cols))
+    if shape[0] > shape[1]:
+        # the transpose has the same rank, and each of its pivots updates
+        # at most the shorter side's rows
+        r, c, shape = c, r, shape[::-1]
+    core = np.zeros(shape, dtype=np.int64)
     core[r, c] = vals[left]
     return pairs + len(_echelon(core, p, reduced=False))
 

@@ -1,6 +1,15 @@
 """Linear subspaces of a fixed graded piece S^k, with the operations the
 linear-system arguments need: sum, intersection, products, colon by the
-linear forms, and a semi-decision for base-point-freeness."""
+linear forms, and a semi-decision for base-point-freeness.
+
+A subspace is kept as the RREF of a basis in graded-lex monomial
+coordinates.  Products never build multiplication matrices: the product
+rows of two subspaces are one gather of their basis nonzeros through the
+cached `product_index_table`, and multiplying by x_i moves a coefficient
+along one column of that table.  A product span proves fullness by a rank
+(whose singleton peel takes every row of a monomial system) and takes an
+RREF only of rows that fall short; `bpf_check` needs only the rank.  The
+annihilator of a subspace is read off its RREF basis."""
 
 from __future__ import annotations
 
@@ -10,7 +19,6 @@ import numpy as np
 
 from .modp import (
     check_budget,
-    matmul_gfp,
     nullspace_gfp,
     rank_gfp,
     rref_gfp,
@@ -171,27 +179,80 @@ def multiplication_matrix(g: np.ndarray, n: int, b: int, a: int) -> np.ndarray:
     return M.T
 
 
+def _product_rows(A: GradedSubspace, B: GradedSubspace) -> np.ndarray:
+    """Dense rows, mod p, of all pairwise products of basis elements: a_i b_j
+    in row j dim A + i, or for a square (`A is B`) each unordered pair
+    i <= j once, in row j (j + 1) / 2 + i.
+
+    The rows are one gather through the product table T: the nonzeros
+    a_i[u] and b_j[v] add a_i[u] b_j[v] at column T[u, v] of their row, and
+    terms that cancel mod p vanish.  B's nonzeros are taken cells // nnz(A)
+    at a time, so that no block holds more products than the rows have
+    cells; nnz(A) <= dim A dim S^a is at most the cells, so a block holds
+    at least one."""
+    if (A.n, A.p) != (B.n, B.p):
+        raise ValueError("mixed variable count or modulus")
+    n, p = A.n, A.p
+    D = dim_graded(n, A.degree + B.degree)
+    check_budget(A.dim * B.dim, D)
+    square = A is B
+    rows = np.zeros((A.dim * (A.dim + 1) // 2 if square else A.dim * B.dim, D),
+                    dtype=np.int64)
+    if not rows.size:
+        return rows
+    T = product_index_table(n, A.degree, B.degree)
+    i, u = (x[:, None] for x in np.nonzero(A.basis))
+    j, v = np.nonzero(B.basis)
+    a_vals, b_vals = A.basis[i, u], B.basis[j, v]
+    first = j * (j + 1) // 2 if square else j * A.dim  # the row of a_0 b_j
+    flat = rows.reshape(-1)
+    step = max(1, rows.size // i.size)
+    for lo in range(0, j.size, step):
+        s = slice(lo, lo + step)
+        at = first[s] + i
+        at *= D
+        at += T[u, v[s]]
+        vals = a_vals * b_vals[s]
+        vals %= p
+        if square:
+            keep = i <= j[s]
+            at, vals = at[keep], vals[keep]
+        np.add.at(flat, at, vals)
+        del at, vals  # free this block before the next is built
+    return np.remainder(rows, p, out=rows)
+
+
+def _spans_all(rows: np.ndarray, p: int) -> bool:
+    """True when the rows span every column; fewer rows than columns cannot."""
+    return len(rows) >= rows.shape[1] and rank_gfp(rows, p) == rows.shape[1]
+
+
 def product_span(A: GradedSubspace, B: GradedSubspace) -> GradedSubspace:
     """Row-reduced span of all pairwise products of basis elements.
 
     Squaring a space (`A is B`) forms each unordered pair g_i * g_j once,
-    i <= j: dim A (dim A + 1) / 2 rows instead of (dim A)^2."""
-    if (A.n, A.p) != (B.n, B.p):
-        raise ValueError("mixed variable count or modulus")
-    n, p = A.n, A.p
-    deg = A.degree + B.degree
-    check_budget(A.dim * B.dim, dim_graded(n, deg))
-    if A.dim == 0 or B.dim == 0:
-        return GradedSubspace.zero(n, p, deg)
-    rows = np.vstack([matmul_gfp(A.basis[:j + 1] if A is B else A.basis,
-                                 multiplication_matrix(g, n, B.degree, A.degree).T, p)
-                      for j, g in enumerate(B.basis)])
+    i <= j: dim A (dim A + 1) / 2 rows instead of (dim A)^2.  Rows of full
+    rank are proven so by a rank, and their RREF is the identity."""
+    rows = _product_rows(A, B)
+    n, p, deg = A.n, A.p, A.degree + B.degree
+    if _spans_all(rows, p):
+        return GradedSubspace.full(n, p, deg)
     return GradedSubspace.from_rows(rows, n, p, deg)
 
 
 def annihilator(A: GradedSubspace) -> np.ndarray:
-    """Row basis of the functionals (standard dot product) vanishing on A."""
-    return nullspace_gfp(A.basis, A.p)
+    """Row basis, in RREF, of the functionals (standard dot product)
+    vanishing on A.
+
+    The basis of A is in RREF, so for each free column f the vector
+    e_f - sum_i A[i, f] e_(pivot i) vanishes on A; these are independent
+    and as many as the codimension."""
+    D, p = A.ambient_dim, A.p
+    free = np.setdiff1d(np.arange(D), A.pivots)
+    V = np.zeros((free.size, D), dtype=np.int64)
+    V[np.arange(free.size), free] = 1
+    V[:, list(A.pivots)] = (p - A.basis[:, free].T) % p
+    return rref_gfp(V, p)[0]
 
 
 def colon_by_linear_forms(K: GradedSubspace) -> GradedSubspace:
@@ -199,11 +260,10 @@ def colon_by_linear_forms(K: GradedSubspace) -> GradedSubspace:
     if K.degree < 1:
         raise ValueError("colon needs degree >= 1")
     n, p = K.n, K.p
-    N = annihilator(K)  # g*x_i in K  <=>  N @ (M_i g) = 0
-    # x_i is monomial i of S^1
-    blocks = [matmul_gfp(N, multiplication_matrix(x, n, 1, K.degree - 1), p)
-              for x in np.eye(n, dtype=np.int64)]
-    rows = nullspace_gfp(np.vstack(blocks), p)
+    N = annihilator(K)  # g*x_i in K  <=>  N @ (x_i g) = 0
+    # x_i (monomial i of S^1) moves the coefficient of monomial q to T[q, i]
+    T = product_index_table(n, K.degree - 1, 1)
+    rows = nullspace_gfp(np.vstack([N[:, T[:, i]] for i in range(n)]), p)
     return GradedSubspace.from_rows(rows, n, p, K.degree - 1)
 
 
@@ -237,7 +297,6 @@ def bpf_check(W: GradedSubspace, m_max: int | None = None) -> BpfResult:
     if W.is_full():  # S^0 * W = W
         return BpfResult(True, N)
     for m in range(N + 1, m_max + 1):
-        S = GradedSubspace.full(n, p, m - N)
-        if product_span(S, W).is_full():
+        if _spans_all(_product_rows(GradedSubspace.full(n, p, m - N), W), p):
             return BpfResult(True, m)
     return BpfResult(False)

@@ -1,13 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import P, P2, P_MAX, random_subspace
-from jacring.jacobian import JacobianRing, fermat
-from jacring.polynomials import Polynomial, dim_graded, parse_polynomial
+from jacring.jacobian import JacobianRing, fermat, random_smooth
+from jacring.modp import nullspace_gfp
+from jacring.polynomials import (
+    Polynomial,
+    dim_graded,
+    monomial_rank,
+    parse_polynomial,
+    product_index_table,
+)
 from jacring.spaces import (
+    BpfResult,
     GradedSubspace,
+    _product_rows,
     annihilator,
     bpf_check,
+    bpf_default_mmax,
     colon_by_linear_forms,
     multiple_columns,
     multiplication_matrix,
@@ -144,6 +156,57 @@ def test_product_span_matches_polynomial_products(p):
         ]
         for A, B in cases:
             assert product_span(A, B) == reference(A, B), (seed, p, A, B)
+    # terms that cancel mod p: x0 x1 in (x0 + x1)(x0 - x1), and x2 x3 in
+    # g1 g2 of the square of g1 = x0 + x2 + x3, g2 = x1 + 5 x2 + (p - 5) x3
+    A = GradedSubspace.from_rows([[1, 1, 0, 0]], 4, p, 1)
+    B = GradedSubspace.from_rows([[1, p - 1, 0, 0]], 4, p, 1)
+    K = GradedSubspace.from_rows([[1, 0, 1, 1], [0, 1, 5, p - 5]], 4, p, 1)
+    # 15 rows for the 10 columns of S^3, short of x0^3: ranked, then reduced
+    S1, W = GradedSubspace.full(3, p, 1), GradedSubspace.span_of_monomials(range(1, 6), 3, p, 2)
+    for A, B in ((A, B), (K, K), (S1, W)):
+        assert product_span(A, B) == reference(A, B), (p, A, B)
+    # a short square: J^N J^N lies in J^(2N) = J^sigma, short of S^sigma
+    J = random_smooth(2, 4, p, np.random.default_rng(7)).jacobian_piece(4)
+    JJ = product_span(J, J)
+    assert not JJ.is_full() and JJ == reference(J, J), p
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_product_rows_are_the_pairwise_products(p):
+    # row j dim A + i holds a_i b_j, and row j (j + 1) / 2 + i of a square
+    # holds a_i a_j for i <= j; zero coefficients are reduced away
+    rng = np.random.default_rng(18)
+    K = GradedSubspace.from_rows([[1, 0, 1, 1], [0, 1, 5, p - 5]], 4, p, 1)
+    cases = [(K, K), (random_subspace(3, p, 2, 4, rng), random_subspace(3, p, 3, 3, rng))]
+    cases += [(A, A) for A in (random_subspace(3, p, 2, 5, rng), GradedSubspace.full(2, p, 3))]
+    cases.append((GradedSubspace.zero(3, p, 2), random_subspace(3, p, 1, 2, rng)))
+    for A, B in cases:
+        a, b = A.polynomials(), B.polynomials()
+        pairs = ([(i, j) for j in range(A.dim) for i in range(j + 1)] if A is B
+                 else [(i, j) for j in range(B.dim) for i in range(A.dim)])
+        deg = A.degree + B.degree
+        want = np.array([(a[i] * b[j]).to_vector(deg) for i, j in pairs],
+                        dtype=np.int64).reshape(len(pairs), dim_graded(A.n, deg))
+        assert np.array_equal(_product_rows(A, B), want), (p, A, B)
+
+
+def test_product_rows_memory_is_bounded_by_the_rows():
+    # half-dimensional dense spaces of S^8 in three variables: the pairs of
+    # basis nonzeros are 3.8 products per cell of the rows (3.6 for the
+    # square), and gathered at once their temporaries peak at 9 (24) times
+    # the rows; B's nonzeros are taken in blocks of no more products than
+    # cells
+    rng = np.random.default_rng(19)
+    A, B = (random_subspace(3, P, 8, 22, rng) for _ in range(2))
+    product_index_table(3, 8, 8)  # cached for the life of the process
+    for A, B in ((A, B), (A, A)):
+        tracemalloc.start()
+        try:
+            rows = _product_rows(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * rows.nbytes, (A is B, peak / rows.nbytes)
 
 
 def test_product_span_symmetric_and_monotone():
@@ -222,6 +285,20 @@ def test_annihilator_of_zero_is_identity():
     assert np.array_equal(ann, np.eye(dim_graded(3, 2), dtype=np.int64))
 
 
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_annihilator_matches_nullspace(p):
+    rng = np.random.default_rng(20)
+    cases = [random_subspace(n, p, k, dim, rng)
+             for n, k, dim in ((3, 2, 1), (3, 2, 4), (4, 3, 11), (2, 5, 5))]
+    cases += [GradedSubspace.span_of_monomials([1, 4, 5], 3, p, 2)]
+    cases += [make(n, p, k) for make in (GradedSubspace.zero, GradedSubspace.full)
+              for n, k in ((3, 2), (1, 4))]
+    for A in cases:
+        ann = annihilator(A)
+        assert ann.shape == (A.codim, A.ambient_dim), (p, A)
+        assert np.array_equal(ann, nullspace_gfp(A.basis, p)), (p, A)
+
+
 def test_bpf_check():
     F = GradedSubspace.full(3, P, 2)
     res = bpf_check(F)
@@ -233,3 +310,28 @@ def test_bpf_check():
     J = ring.jacobian_piece(3)
     res = bpf_check(J, m_max=ring.X.socle_degree + 1)
     assert res.verified and res.degree <= ring.X.socle_degree + 1
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_bpf_check_of_monomial_w_is_index_set_fullness(p):
+    # each product of a monomial of S^(m-N) with a monomial of W is one
+    # monomial, so S^(m-N) W = S^m exactly when those monomials cover S^m;
+    # half the draws add every pure power x_i^N, and a W without all of
+    # them is never verified
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for t in range(24):
+        n, N = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        D = dim_graded(n, N)
+        picks = rng.choice(D, size=int(rng.integers(1, D + 1)), replace=False).tolist()
+        if t % 2:
+            picks += monomial_rank(N * np.eye(n, dtype=np.int64)).tolist()
+        W = GradedSubspace.span_of_monomials(picks, n, p, N)
+        m_max = bpf_default_mmax(n, N) + int(rng.integers(0, 2))
+        covered = [m for m in range(N, m_max + 1)
+                   if np.unique(product_index_table(n, m - N, N)[:, list(W.pivots)]).size
+                   == dim_graded(n, m)]
+        res = bpf_check(W, m_max)
+        assert res == BpfResult(bool(covered), covered[0] if covered else None), (n, N, W.pivots)
+        outcomes.add((res.verified, W.is_full()))
+    assert outcomes == {(True, True), (True, False), (False, False)}

@@ -11,14 +11,24 @@ only `matmul_gfp` uses float64, for BLAS, which is exact while p**2 < 2**53
 Gaussian elimination, LaMacchia-Odlyzko 1990): the nonzero of a row or
 column with one nonzero is a unit that clears the rest of its column or
 row by elementary operations, so it adds 1 to the rank, and its row and
-column can be deleted.  Only what is left, the core, is scattered into a
-dense array and eliminated.  The pattern is built only when its index
-pairs weigh no more than the int64 copy that dense elimination makes, so
-denser input is eliminated directly.  `rank_of_nonzeros` ranks a matrix
-given only as its nonzeros (row, col, value) the same way, so a caller
-that assembles sparse rows never builds them dense; it reduces the values
-mod p and drops the zeros first, so that a stored multiple of p is not
-peeled as a unit.
+column can be deleted.  While the core left is sparse, a round of
+conflict-free pivots follows (Bouillaguet-Delaplace 2016, after
+Faugere-Lachartre 2010): each row proposes its nonzero of least Markowitz
+cost, each column keeps one proposal, and of two proposals where one's row
+meets the other's column the costlier (at equal cost, the later) goes.
+The pivots left form a diagonal block; they add their number to the rank,
+and the rest of the matrix becomes its Schur complement, formed from the
+nonzeros alone, with fill that cancels mod p dropped.  Peeling and rounds
+alternate until the core is dense (fewer than 20 cells per nonzero), a
+round would form more than cells / 20 products, or a round takes fewer
+than 1/16 of the pivots the core could hold; only then is the core
+scattered into a dense array and eliminated.  The pattern is built only
+when its index pairs weigh no more than the int64 copy that dense
+elimination makes, so denser input is eliminated directly.
+`rank_of_nonzeros` ranks a matrix given only as its nonzeros (row, col,
+value) the same way, so a caller that assembles sparse rows never builds
+them dense; it reduces the values mod p and drops the zeros first, so
+that a stored multiple of p is not peeled as a unit.
 
 Each pivot touches only the nonzero columns of its row, so the cost of an
 elimination follows its fill-in, not its shape, and one scan of each pivot
@@ -178,22 +188,121 @@ def _echelon(A: np.ndarray, p: int, reduced: bool) -> list[int]:
     return pivots
 
 
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses of units a in [1, p), by Fermat's a**(p-2); each
+    product stays below p**2 < 2**53."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+# A core is sparse while it has at least this many cells per nonzero; a
+# round may form at most cells / _CELLS_PER_NONZERO products.
+_CELLS_PER_NONZERO = 20
+# A round that takes fewer than 1/_MIN_ROUND_SHARE of the core's possible
+# pivots is the last: chains of equal-cost candidates can kill each other
+# round after round, one pivot at a time.
+_MIN_ROUND_SHARE = 16
+
+
+def _pivot_round(r, c, v, shape, p, max_products):
+    """One round of conflict-free pivots on the nonzeros v[i] in [1, p) at
+    distinct positions (r[i], c[i]) of a matrix of `shape` whose rows and
+    columns all hold two nonzeros or more, as a peel leaves them.
+
+    Each row proposes its nonzero of least Markowitz cost (row count - 1) *
+    (column count - 1); each column keeps its best proposal; and of two
+    proposals where one's row meets the other's column, the costlier one
+    (at equal cost, the later) goes.  The pivots left form a diagonal
+    block, whose Schur complement has rank = rank - pivots.  Returns
+    (pivots, rows, cols, vals) of that complement, or None when it would
+    form more than `max_products` products."""
+    row_count = np.bincount(r, minlength=shape[0])
+    col_count = np.bincount(c, minlength=shape[1])
+    cost = (row_count[r] - 1) * (col_count[c] - 1)
+    order = np.argsort(cost, kind="stable")
+    # the first nonzero of each row, then of each column, in priority order
+    cand = order[np.sort(np.unique(r[order], return_index=True)[1])]
+    cand = cand[np.sort(np.unique(c[cand], return_index=True)[1])]
+    at_row = np.full(shape[0], -1)
+    at_col = np.full(shape[1], -1)
+    at_row[r[cand]] = at_col[c[cand]] = np.arange(cand.size)
+    a, b = at_row[r], at_col[c]
+    meet = (a >= 0) & (b >= 0) & (a != b)
+    dropped = np.zeros(cand.size, dtype=bool)
+    dropped[np.maximum(a[meet], b[meet])] = True
+    piv = cand[~dropped]
+    # a pivot's column meets no other pivot row, so it forms one product
+    # per pair of its other column and row nonzeros: its Markowitz cost
+    if cost[piv].sum() > max_products:
+        return None
+
+    at_row[:] = at_col[:] = -1
+    at_row[r[piv]] = at_col[c[piv]] = np.arange(piv.size)
+    a, b = at_row[r], at_col[c]
+    # the nonzeros of the pivot rows outside the pivot columns, by pivot
+    across = np.flatnonzero((a >= 0) & (b < 0))
+    across = across[np.argsort(a[across], kind="stable")]
+    counts = np.bincount(a[across], minlength=piv.size)
+    starts = np.cumsum(counts) - counts
+    # each nonzero below a pivot, times the pivot's inverse, meets its row
+    down = np.flatnonzero((b >= 0) & (a < 0))
+    k = b[down]
+    factors = v[down] * _inverses(v[piv], p)[k] % p
+    each = counts[k]
+    src = np.repeat(np.arange(down.size), each)
+    at = across[np.repeat(starts[k] - (np.cumsum(each) - each), each)
+                + np.arange(each.sum())]
+    rest = np.flatnonzero((a < 0) & (b < 0))
+    keys = np.concatenate((r[rest] * shape[1] + c[rest],
+                           r[down][src] * shape[1] + c[at]))
+    vals = np.concatenate((v[rest], p - factors[src] * v[at] % p))
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    head = np.flatnonzero(np.diff(keys, prepend=-1))
+    vals = np.add.reduceat(vals, head) % p
+    nonzero = vals != 0  # fill that cancels mod p
+    keys, vals = keys[head][nonzero], vals[nonzero]
+    return piv.size, keys // shape[1], keys % shape[1], vals
+
+
 def _sparse_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
     """Rank of the matrix with nonzeros vals[i] in [1, p) at distinct
-    positions (rows[i], cols[i]): singleton pairs peeled off the pattern,
+    positions (rows[i], cols[i]): singleton pairs peeled off the pattern
+    and rounds of conflict-free pivots taken while the core is sparse,
     plus the rank of the dense core they leave."""
-    pairs, left = _peel(rows, cols)
-    rows, cols = rows[left], cols[left]
-    live_rows, r = np.unique(rows, return_inverse=True)
-    live_cols, c = np.unique(cols, return_inverse=True)
-    shape = (len(live_rows), len(live_cols))
+    rank, rounds = 0, True
+    while True:
+        pairs, left = _peel(rows, cols)
+        rank += pairs
+        if not left.any():
+            return rank
+        live_rows, rows = np.unique(rows[left], return_inverse=True)
+        live_cols, cols = np.unique(cols[left], return_inverse=True)
+        vals = vals[left]
+        shape = (len(live_rows), len(live_cols))
+        cells = shape[0] * shape[1]
+        if not rounds or cells < _CELLS_PER_NONZERO * vals.size:
+            break
+        step = _pivot_round(rows, cols, vals, shape, p, cells // _CELLS_PER_NONZERO)
+        if step is None:
+            break
+        taken, rows, cols, vals = step
+        rank += taken
+        rounds = _MIN_ROUND_SHARE * taken >= min(shape)
+    r, c = rows, cols
     if shape[0] > shape[1]:
         # the transpose has the same rank, and each of its pivots updates
         # at most the shorter side's rows
         r, c, shape = c, r, shape[::-1]
     core = np.zeros(shape, dtype=np.int64)
-    core[r, c] = vals[left]
-    return pairs + len(_echelon(core, p, reduced=False))
+    core[r, c] = vals
+    return rank + len(_echelon(core, p, reduced=False))
 
 
 def rank_gfp(M: np.ndarray, p: int) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobian import JacobianRing
-from .modp import matmul_gfp, nullspace_gfp, rank_gfp
+from .modp import inv_mod, matmul_gfp, rank_gfp
 from .polynomials import dim_graded, product_index_table
 from .spaces import (
     GradedSubspace,
@@ -106,8 +106,19 @@ def random_hyperplane_over_jacobian(ring: JacobianRing,
         u = matmul_gfp(coeffs[None, :], ann, X.p)
         if u.any():
             break
-    rows = nullspace_gfp(u, X.p)
-    return GradedSubspace.from_rows(rows, X.n, X.p, X.N)
+    return _kernel_of_functional(u[0], X.n, X.p, X.N)
+
+
+def _kernel_of_functional(u: np.ndarray, n: int, p: int, degree: int) -> GradedSubspace:
+    """Kernel of the nonzero functional u on S^degree.  With c the last
+    nonzero column of u, the rows e_j - (u_j / u_c) e_c for j != c are
+    already its RREF, with a pivot at every j != c."""
+    c = int(np.flatnonzero(u)[-1])
+    pivots = np.delete(np.arange(u.size), c)
+    basis = np.zeros((pivots.size, u.size), dtype=np.int64)
+    basis[np.arange(pivots.size), pivots] = 1
+    basis[:, c] = -u[pivots] * inv_mod(int(u[c]), p) % p
+    return GradedSubspace(n, p, degree, basis, tuple(pivots.tolist()))
 
 
 def yukawa_chain(ring: JacobianRing, K: GradedSubspace) -> YukawaChainReport:

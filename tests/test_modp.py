@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import P2, P_MAX
+from jacring import modp
 from jacring.jacobian import Hypersurface, JacobianRing, random_smooth
 from jacring.modp import (
     DEFAULT_PRIME,
@@ -249,6 +250,112 @@ def test_elimination_matches_exact_reference(p):
         K = nullspace_gfp(M, p)
         assert K.shape == (M.shape[1] - len(pivots), M.shape[1]), msg
         assert K.tolist() == _reference_kernel(rows, M.shape[1], p), msg
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Counts the rounds of conflict-free pivots that `_sparse_rank` takes."""
+    taken = []
+    pivot_round = modp._pivot_round
+
+    def counted(*args):
+        out = pivot_round(*args)
+        if out is not None:
+            taken.append(out[0])
+        return out
+
+    monkeypatch.setattr(modp, "_pivot_round", counted)
+    return taken
+
+
+def _sparse_rows(rng, shape, per_row, p):
+    """A matrix of `shape` with `per_row` random nonzeros in each row."""
+    M = np.zeros(shape, dtype=np.int64)
+    for i in range(shape[0]):
+        k = rng.integers(per_row[0], per_row[1] + 1)
+        M[i, rng.choice(shape[1], size=k, replace=False)] = rng.integers(1, p, size=k)
+    return M
+
+
+def _round_cases(p):
+    """(name, matrix) pairs sparse enough after peeling that rounds run."""
+    rng = np.random.default_rng(30)
+    tall = _sparse_rows(rng, (150, 120), (2, 3), p)
+    yield "150x120", tall
+    yield "120x150", _sparse_rows(rng, (150, 120), (2, 3), p).T
+    # scaled copies of 40 rows: rank at most 120, with 190 rows
+    dup = rng.choice(150, size=40, replace=False)
+    scaled = tall[dup] * rng.integers(1, p, size=(40, 1)) % p
+    yield "scaled duplicate rows", np.vstack([tall, scaled])[rng.permutation(190)]
+    # rank-1 2x2 blocks a b / e eb/a: whichever entry a round pivots on,
+    # its fill lands on the block's fourth entry and cancels it mod p
+    blocks = np.zeros((60, 60), dtype=np.int64)
+    for i in range(0, 60, 2):
+        a, b, e = (int(x) for x in rng.integers(1, p, size=3))
+        blocks[i:i + 2, i:i + 2] = [[a, b], [e, e * b * pow(a, p - 2, p) % p]]
+    M = np.zeros((180, 180), dtype=np.int64)
+    M[:120, :120] = _sparse_rows(rng, (120, 120), (2, 3), p)
+    M[120:, 120:] = blocks
+    yield "fill that cancels", M[rng.permutation(180)][:, rng.permutation(180)]
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_pivot_rounds_match_exact_reference(p, rounds):
+    for name, M in _round_cases(p):
+        rounds.clear()
+        rank = len(_gauss_jordan(M.tolist(), p)[1])
+        assert rank_gfp(M, p) == rank, (name, p)
+        assert rounds, (name, p)
+        at = np.nonzero(M)
+        assert rank_of_nonzeros(*at, M[at], p) == rank, (name, p)
+    # the two-by-two block alone: its only round leaves nothing
+    r, c = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    v = np.array([3, 5, 7, 7 * 5 * pow(3, p - 2, p) % p])
+    taken, *rest = modp._pivot_round(r, c, v, (2, 2), p, 4)
+    assert taken == 1 and all(x.size == 0 for x in rest)
+
+
+def _cyclic_band(n, offsets, p):
+    rng = np.random.default_rng(31)
+    M = np.zeros((n, n), dtype=np.int64)
+    for k in offsets:
+        M[np.arange(n), (np.arange(n) + k) % n] = rng.integers(1, p, size=n)
+    return M
+
+
+def _torus_laplacian(m, p):
+    n = m * m
+    x, y = np.divmod(np.arange(n), m)
+    L = 4 * np.eye(n, dtype=np.int64)
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        L[np.arange(n), (x + dx) % m * m + (y + dy) % m] = p - 1
+    return L
+
+
+def test_round_stops_when_conflicts_kill_chains(rounds):
+    # every candidate of a cyclic band conflicts with its neighbours', so a
+    # round takes a few pivots; the next must not run, or ranking an
+    # 800x800 band would take hundreds of rounds
+    for name, M in (("tridiagonal", _cyclic_band(800, (-1, 0, 1), P)),
+                    ("band of width 5", _cyclic_band(800, (-2, -1, 0, 1, 2), P)),
+                    ("28x28 torus Laplacian", _torus_laplacian(28, P))):
+        rounds.clear()
+        assert rank_gfp(M, P) == len(modp._echelon(M.copy(), P, reduced=False)), name
+        assert len(rounds) <= 1, (name, rounds)
+
+
+def test_certificate_rank_stays_sparse():
+    # the square rows of J^(sigma+1) of a random quartic threefold leave an
+    # 802x802 core after peeling; rounds must rank it without a dense copy
+    ring = random_smooth(3, 4, P, np.random.default_rng(0))
+    rows, cols, vals = ring._jacobian_nonzeros(ring.X.socle_degree + 1, square=True)
+    tracemalloc.start()
+    try:
+        assert rank_of_nonzeros(rows, cols, vals, P) == dim_graded(5, 11) == 1365
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 802 * 802 * 8 / 4, peak
 
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])

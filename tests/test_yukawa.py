@@ -4,6 +4,7 @@ import pytest
 from conftest import P, P2, P_MAX
 from jacring import yukawa
 from jacring.jacobian import JacobianRing, fermat, random_smooth
+from jacring.modp import nullspace_gfp
 from jacring.polynomials import dim_graded
 from jacring.spaces import BpfResult, GradedSubspace, colon_by_linear_forms, product_span
 from jacring.yukawa import (
@@ -84,6 +85,24 @@ def test_random_hyperplane():
     K = random_hyperplane_over_jacobian(ring, rng)
     assert K.codim == 1 and K.degree == 4
     assert K.contains(ring.jacobian_piece(4))
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_kernel_of_functional_is_its_rref(p):
+    rng = np.random.default_rng(35)
+    D = dim_graded(4, 2)
+    dense = rng.integers(1, p, size=D)
+    first = np.zeros(D, dtype=np.int64)
+    first[0] = rng.integers(1, p)
+    last = np.zeros(D, dtype=np.int64)
+    last[-1] = rng.integers(1, p)
+    inner = dense * (rng.random(D) < 0.3)
+    inner[4], inner[7:] = 1, 0
+    for u in (dense, first, last, inner):
+        K = yukawa._kernel_of_functional(u, 4, p, 2)
+        ref = GradedSubspace.from_rows(nullspace_gfp(u[None, :], p), 4, p, 2)
+        assert K.pivots == ref.pivots, (p, u)
+        assert np.array_equal(K.basis, ref.basis), (p, u)
 
 
 def test_chain_single_instance():

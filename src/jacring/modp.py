@@ -272,7 +272,7 @@ def _pivot_round(r, c, v, shape, p, max_products):
 
 
 def _sparse_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
-    """Rank of the matrix with nonzeros vals[i] in [1, p) at distinct
+    """Rank of the matrix with int64 nonzeros vals[i] in [1, p) at distinct
     positions (rows[i], cols[i]): singleton pairs peeled off the pattern
     and rounds of conflict-free pivots taken while the core is sparse,
     plus the rank of the dense core they leave."""
@@ -316,7 +316,8 @@ def rank_gfp(M: np.ndarray, p: int) -> int:
     # one flat scan of a boolean mask: numpy's 2-d nonzero is far slower,
     # and a flat scan cannot name a position twice
     rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
-    return _sparse_rank(rows, cols, A[rows, cols], p)
+    # the rounds multiply residues, which a narrow dtype cannot hold
+    return _sparse_rank(rows, cols, A[rows, cols].astype(np.int64, copy=False), p)
 
 
 def rank_of_nonzeros(rows, cols, vals, p: int) -> int:

@@ -299,9 +299,19 @@ def _round_cases(p):
     yield "fill that cancels", M[rng.permutation(180)][:, rng.permutation(180)]
 
 
+def _narrow_round_cases(p):
+    """The round cases in every narrower dtype that holds them, and their
+    0/1 patterns as int8: the rounds' products overflow such dtypes."""
+    for name, M in _round_cases(p):
+        for dtype in (np.uint16, np.uint32):
+            if M.max() <= np.iinfo(dtype).max:
+                yield f"{name} as {np.dtype(dtype).name}", M.astype(dtype)
+        yield f"pattern of {name} as int8", (M != 0).astype(np.int8)
+
+
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
 def test_pivot_rounds_match_exact_reference(p, rounds):
-    for name, M in _round_cases(p):
+    for name, M in (*_round_cases(p), *_narrow_round_cases(p)):
         rounds.clear()
         rank = len(_gauss_jordan(M.tolist(), p)[1])
         assert rank_gfp(M, p) == rank, (name, p)
@@ -313,6 +323,37 @@ def test_pivot_rounds_match_exact_reference(p, rounds):
     v = np.array([3, 5, 7, 7 * 5 * pow(3, p - 2, p) % p])
     taken, *rest = modp._pivot_round(r, c, v, (2, 2), p, 4)
     assert taken == 1 and all(x.size == 0 for x in rest)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_round_stops_at_product_budget(p, monkeypatch):
+    # an arrowhead: a diagonal with 4 full rows and columns has no singleton
+    # line and is sparse, but each diagonal pivot costs 4 * 4 products, more
+    # than a round may form on it
+    rng = np.random.default_rng(32)
+    n, k = 200, 4
+    M = np.diag(rng.integers(1, p, size=n))
+    M[:k] = rng.integers(1, p, size=(k, n))
+    M[:, :k] = rng.integers(1, p, size=(n, k))
+    M[-1] = 3 * M[-2] % p  # rank n - 1
+    at = np.nonzero(M)
+    budget = n * n // modp._CELLS_PER_NONZERO
+    assert budget > 0
+    assert modp._pivot_round(*at, M[at], M.shape, p, budget) is None
+    assert modp._pivot_round(*at, M[at], M.shape, p, n * n) is not None
+    stops = []
+    pivot_round = modp._pivot_round
+
+    def counted(*args):
+        out = pivot_round(*args)
+        stops.append(out is None)
+        return out
+
+    monkeypatch.setattr(modp, "_pivot_round", counted)
+    rank = len(_gauss_jordan(M.tolist(), p)[1])
+    assert rank == n - 1
+    assert rank_gfp(M, p) == rank
+    assert stops == [True]
 
 
 def _cyclic_band(n, offsets, p):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -309,6 +310,7 @@ def cmd_bpf_check(args, p: int, rng: np.random.Generator) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="jacring",
@@ -323,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
     _add_common(sp, form_flags=True)
-    sp.set_defaults(func=cmd_hodge_numbers)
 
     sp = sub.add_parser("hilbert", help="Hilbert function of the Jacobian ring")
     sp.add_argument("--d", type=int, required=True)
@@ -331,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None,
                     help="single degree (default: 0..sigma+1)")
     _add_common(sp, form_flags=True)
-    sp.set_defaults(func=cmd_hilbert)
 
     sp = sub.add_parser("green-scan", help="middle-exactness scan over an "
                         "(a, s) grid of base-point-free subsystems")
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--style", choices=["auto", "dense", "monomial"],
                     default="auto")
     _add_common(sp)
-    sp.set_defaults(func=cmd_green_scan)
 
     sp = sub.add_parser("koszul-check", help="Jacobian-ring Koszul slice check")
     sp.add_argument("--d", type=int, required=True)
@@ -355,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--codim", type=int, default=0,
                     help="codimension of W (0 = full system)")
     _add_common(sp, form_flags=True)
-    sp.set_defaults(func=cmd_koszul_check)
 
     sp = sub.add_parser("sweep", help="integer sweeping-out criteria")
     sp.add_argument("--d", type=int, required=True)
@@ -370,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scan for the minimal passing degree")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("yukawa-chain", help="hyperplane chain for Calabi-Yau "
                         "degree N = d+2")
@@ -381,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use the degenerate K = J^(d+2) (socle image vanishes)")
     sp.add_argument("--allow-large", action="store_true")
     _add_common(sp)
-    sp.set_defaults(func=cmd_yukawa_chain)
 
     sp = sub.add_parser("bpf-check", help="certify base-point-freeness of a "
                         "sampled subsystem")
@@ -391,19 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mmax", type=int, default=None)
     sp.add_argument("--style", choices=["dense", "monomial"], default="dense")
     _add_common(sp)
-    sp.set_defaults(func=cmd_bpf_check)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand and return its exit code.  The parser is built on
+    the first call and kept for the process; the handler `cmd_<command>` is
+    looked up by name at each call, so a handler rebound on this module
+    after the first call is the one that runs."""
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         cell_budget()  # reject a malformed JACRING_CELL_BUDGET before any work
         p = validate_prime(_env_int("JACRING_PRIME", DEFAULT_PRIME)
                            if args.prime is None else args.prime)
-        return args.func(args, p, np.random.default_rng(args.seed))
+        return handler(args, p, np.random.default_rng(args.seed))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

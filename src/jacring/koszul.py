@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .jacobian import JacobianRing
-from .modp import _peel, check_budget, rank_gfp
+from .modp import _peel, _renumber, check_budget, rank_gfp
 from .polynomials import dim_graded, monomial_array, monomial_rank
 from .spaces import GradedSubspace, bpf_check, multiplication_matrix
 
@@ -187,16 +187,6 @@ def report_from_slice(sl: KoszulSlice) -> KoszulReport:
 # -- multidegree fast path ---------------------------------------------------
 
 
-def _boundary_matrix(w: int, t: int) -> np.ndarray:
-    """Dense simplex boundary from t-subsets to (t-1)-subsets of range(w),
-    entries 0 and +-1 (the elimination reduces them mod p); the reference
-    the strand reductions are tested against."""
-    tgt, src, _, sign = _simplex_boundary(w, t)
-    B = np.zeros((_comb_count(w, t - 1), _comb_count(w, t)), dtype=np.int8)
-    B[tgt, src] = sign
-    return B
-
-
 def _face_fits(E: np.ndarray, alphas: np.ndarray, top: int) -> list[np.ndarray]:
     """fits[k][alpha, i] for k = 0..top: the i-th k-face (as in `_faces`) of
     the generators with exponent rows E fits, i.e. its exponents sum to at
@@ -304,9 +294,9 @@ def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
     height = _comb_count(fits[1].shape[1], t - 1)
     for i in np.flatnonzero(np.bincount(rows // height)):
         at = rows // height == i
-        _, r = np.unique(rows[at], return_inverse=True)
-        _, c = np.unique(cols[at], return_inverse=True)
-        M = np.zeros((r.max() + 1, c.max() + 1), dtype=np.int8)
+        r, n_r = _renumber(rows[at])
+        c, n_c = _renumber(cols[at])
+        M = np.zeros((n_r, n_c), dtype=np.int8)
         M[r, c] = signs[at]
         rank += rank_gfp(M, p)
     return rank

@@ -126,6 +126,27 @@ def _as_int64(M: np.ndarray, p: int) -> np.ndarray:
     return A.astype(np.int64, copy=A is M)
 
 
+def _first_of_each(ids: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the first occurrence of each id in `ids`, integers in
+    [0, size): np.unique's return_index as a mask, in linear time."""
+    first = np.full(size, ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    keep = np.zeros(ids.size + 1, dtype=bool)
+    keep[first] = True
+    return keep[:-1]
+
+
+def _renumber(ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each of the integer `ids` (at least one) as its rank among the
+    distinct ids, and their number: np.unique's return_inverse in linear
+    time, by a mask over the range of the ids."""
+    ids = ids - ids.min()
+    seen = np.zeros(ids.max() + 1, dtype=bool)
+    seen[ids] = True
+    number = np.cumsum(seen)
+    return number[ids] - 1, int(number[-1])
+
+
 def _peel(rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
     """Singleton peeling of the nonzero pattern (rows[i], cols[i]) of a
     matrix whose nonzeros are units: a row or column with one nonzero adds 1
@@ -138,13 +159,15 @@ def _peel(rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
         single = np.flatnonzero((np.bincount(r) == 1)[r] | (np.bincount(c) == 1)[c])
         if not single.size:
             return pairs, left
-        # one pair per row and per column; a singleton row and a singleton
-        # column share a line only at the same nonzero
-        single = single[np.unique(r[single], return_index=True)[1]]
-        single = single[np.unique(c[single], return_index=True)[1]]
-        pairs += single.size
         dead_rows = np.zeros(rows.max() + 1, dtype=bool)
         dead_cols = np.zeros(cols.max() + 1, dtype=bool)
+        # one pair per row and per column; a singleton row and a singleton
+        # column share a line only at the same nonzero, and of the
+        # singletons on one line any will do: each is alone on its other
+        # line, so what is left is the same
+        single = single[_first_of_each(r[single], dead_rows.size)]
+        single = single[_first_of_each(c[single], dead_cols.size)]
+        pairs += single.size
         dead_rows[r[single]] = dead_cols[c[single]] = True
         left &= ~(dead_rows[rows] | dead_cols[cols])
 
@@ -227,8 +250,8 @@ def _pivot_round(r, c, v, shape, p, max_products):
     cost = (row_count[r] - 1) * (col_count[c] - 1)
     order = np.argsort(cost, kind="stable")
     # the first nonzero of each row, then of each column, in priority order
-    cand = order[np.sort(np.unique(r[order], return_index=True)[1])]
-    cand = cand[np.sort(np.unique(c[cand], return_index=True)[1])]
+    cand = order[_first_of_each(r[order], shape[0])]
+    cand = cand[_first_of_each(c[cand], shape[1])]
     at_row = np.full(shape[0], -1)
     at_col = np.full(shape[1], -1)
     at_row[r[cand]] = at_col[c[cand]] = np.arange(cand.size)
@@ -282,10 +305,10 @@ def _sparse_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -
         rank += pairs
         if not left.any():
             return rank
-        live_rows, rows = np.unique(rows[left], return_inverse=True)
-        live_cols, cols = np.unique(cols[left], return_inverse=True)
+        rows, height = _renumber(rows[left])
+        cols, width = _renumber(cols[left])
         vals = vals[left]
-        shape = (len(live_rows), len(live_cols))
+        shape = (height, width)
         cells = shape[0] * shape[1]
         if not rounds or cells < _CELLS_PER_NONZERO * vals.size:
             break
@@ -334,7 +357,8 @@ def rank_of_nonzeros(rows, cols, vals, p: int) -> int:
     rows, cols = rows.astype(np.int64), cols.astype(np.int64)
     if rows.size and min(rows.min(), cols.min()) < 0:
         raise ValueError("negative row or column index")
-    if rows.size and np.unique(rows * (int(cols.max()) + 1) + cols).size < rows.size:
+    keys = np.sort(rows * (int(cols.max(initial=0)) + 1) + cols)
+    if (keys[1:] == keys[:-1]).any():
         raise ValueError("repeated (row, col) position")
     vals = vals.astype(np.int64) % p
     keep = vals != 0

@@ -19,6 +19,7 @@ import numpy as np
 
 from .modp import (
     check_budget,
+    matmul_gfp,
     nullspace_gfp,
     rank_gfp,
     rref_gfp,
@@ -108,13 +109,11 @@ class GradedSubspace:
             raise ValueError("ambient graded pieces do not match")
 
     def contains(self, other: "GradedSubspace") -> bool:
+        """other <= self.  The basis of self is in RREF, so a vector v lies in
+        self exactly when v = v[pivots] . basis mod p."""
         self._check_mate(other)
-        stacked = np.vstack([self.basis, other.basis])
-        return rank_gfp(stacked, self.p) == self.dim
-
-    def contains_vector(self, v: np.ndarray) -> bool:
-        return rank_gfp(np.vstack([self.basis, np.asarray(v, dtype=np.int64)[None, :]]),
-                        self.p) == self.dim
+        B = other.basis
+        return np.array_equal(B, matmul_gfp(B[:, list(self.pivots)], self.basis, self.p))
 
     def polynomials(self) -> list[Polynomial]:
         return [

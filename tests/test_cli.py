@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import P2, run_cli
+from conftest import P, P2, run_cli
+from jacring import cli
 
 
 def test_hodge_numbers_quintic():
@@ -249,6 +250,51 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli([])
     assert exc.value.code == 2
+
+
+# each case: a first call with `flag`, and a second call without it, whose
+# output the flag would change if it leaked through the reused parser
+REUSE_CASES = [
+    (["yukawa-chain", "--d", "1"], ["--k-equals-jacobian"], ["yukawa-chain", "--d", "2"]),
+    (["hodge-numbers", "--d", "1", "--N", "3"], ["--fermat"],
+     ["hodge-numbers", "--d", "1", "--N", "3", "--random-smooth"]),
+    (["hilbert", "--d", "1", "--N", "3", "--fermat"], ["--prime", "32003"],
+     ["hilbert", "--d", "1", "--N", "3", "--fermat"]),
+]
+
+
+@pytest.mark.parametrize("first, flag, second", REUSE_CASES)
+def test_reused_parser_keeps_calls_apart(monkeypatch, first, flag, second):
+    monkeypatch.delenv("JACRING_PRIME", raising=False)
+    first = first + flag
+    alone = []
+    for argv in (first, second, second + flag):
+        cli.build_parser.cache_clear()
+        alone.append(run_cli(argv))
+    assert alone[2] != alone[1]
+    cli.build_parser.cache_clear()
+    assert [run_cli(first), run_cli(second)] == alone[:2]
+    assert cli.build_parser.cache_info().misses == 1  # one parser for both calls
+
+
+def test_handler_rebound_after_first_call_runs(monkeypatch):
+    monkeypatch.delenv("JACRING_PRIME", raising=False)
+    argv = ["hodge-numbers", "--d", "1", "--N", "3", "--fermat"]
+    code, out = run_cli(argv)
+    assert code == 0 and out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_hodge_numbers",
+                        lambda args, p, rng: seen.append((args.d, args.N, p)) or 0)
+    assert run_cli(argv) == (0, "")
+    assert seen == [(1, 3, P)]
+
+
+def test_call_after_usage_error_succeeds():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["hodge-numbers", "--d", "1", "--fermat"])  # --N is required
+    assert exc.value.code == 2
+    code, out = run_cli(["hodge-numbers", "--d", "1", "--N", "3", "--fermat"])
+    assert code == 0 and json.loads(out)["smooth"]
 
 
 def test_determinism_byte_identical():

@@ -99,6 +99,16 @@ def test_monomial_path_matches_generic():
             assert fast.shape_out == slow.shape_out, case
 
 
+def _boundary_matrix(w, t):
+    """Dense simplex boundary from t-subsets to (t-1)-subsets of range(w),
+    entries 0 and +-1 (the elimination reduces them mod p): the reference
+    the strand reductions are tested against."""
+    tgt, src, _, sign = koszul._simplex_boundary(w, t)
+    B = np.zeros((koszul._comb_count(w, t - 1), koszul._comb_count(w, t)), dtype=np.int8)
+    B[tgt, src] = sign
+    return B
+
+
 def _cone_cases(rng):
     """Random monomial systems (n, N, keep, a, s) with a <= 4 and s <= 3,
     then systems of one and two generators, where t runs past w."""
@@ -123,7 +133,7 @@ def test_cone_ranks_match_elimination(p):
         fits = koszul._face_fits(E, monomial_array(n, a + (s + 1) * N), s + 1)
         cones = koszul._cones(fits, W.dim)
         for t in range(s + 2):
-            B = koszul._boundary_matrix(W.dim, t)
+            B = _boundary_matrix(W.dim, t)
             derived = koszul._cone_ranks(fits, t)
             for i in np.flatnonzero(cones[t]):
                 case = f"seed {seed}, p {p}, n {n}, N {N}, keep {keep}, a {a}, s {s}, t {t}, alpha {i}"
@@ -166,7 +176,7 @@ def test_reduced_strand_ranks_match_elimination(monkeypatch, p):
     def check(fits, w, t, case):
         """Each strand alone, then all of them at once, against the dense
         boundary restricted to the fitting t-faces."""
-        B = koszul._boundary_matrix(w, t)
+        B = _boundary_matrix(w, t)
         dense = [rank_gfp(B[:, fit], p) for fit in fits[t]]
         for i, expect in enumerate(dense):
             got = koszul._reduced_rank([f[[i]] for f in fits[:t + 1]], t, p)

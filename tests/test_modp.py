@@ -399,6 +399,78 @@ def test_certificate_rank_stays_sparse():
     assert peak < 802 * 802 * 8 / 4, peak
 
 
+def _id_cases():
+    rng = np.random.default_rng(30)
+    yield "all equal", np.full(50, 7)
+    yield "all distinct", rng.permutation(60) + 5
+    yield "one id", np.array([3])
+    for size, top in ((40, 10), (200, 500), (1000, 30)):
+        yield f"{size} ids below {top}", rng.integers(0, top, size=size)
+
+
+def test_index_bookkeeping_matches_unique():
+    for name, ids in _id_cases():
+        _, index, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        first = np.zeros(ids.size, dtype=bool)
+        first[index] = True
+        assert np.array_equal(modp._first_of_each(ids, ids.max() + 1), first), name
+        got, count = modp._renumber(ids)
+        assert np.array_equal(got, inverse) and count == index.size, name
+
+
+def _unique_peel(rows, cols):
+    """`_peel` with np.unique's first occurrences, taken in sorted order."""
+    left = np.ones(len(rows), dtype=bool)
+    pairs = 0
+    while True:
+        r, c = rows[left], cols[left]
+        single = np.flatnonzero((np.bincount(r) == 1)[r] | (np.bincount(c) == 1)[c])
+        if not single.size:
+            return pairs, left
+        single = single[np.unique(r[single], return_index=True)[1]]
+        single = single[np.unique(c[single], return_index=True)[1]]
+        pairs += single.size
+        dead_rows = np.zeros(rows.max() + 1, dtype=bool)
+        dead_cols = np.zeros(cols.max() + 1, dtype=bool)
+        dead_rows[r[single]] = dead_cols[c[single]] = True
+        left &= ~(dead_rows[rows] | dead_cols[cols])
+
+
+def test_peel_matches_unique_reference():
+    rng = np.random.default_rng(31)
+    peeled = cored = 0
+    for density in (0.01, 0.03, 0.08, 0.2, 0.5):
+        for _ in range(4):
+            shape = tuple(rng.integers(5, 80, size=2))
+            rows, cols = np.nonzero(rng.random(shape) < density)
+            # in shuffled order too: the peel must not rely on sorted input
+            for order in (np.arange(rows.size), rng.permutation(rows.size)):
+                pairs, left = modp._peel(rows[order], cols[order])
+                want_pairs, want_left = _unique_peel(rows[order], cols[order])
+                assert pairs == want_pairs, (density, shape)
+                assert np.array_equal(left, want_left), (density, shape)
+                peeled += pairs > 0
+                cored += bool(left.any())
+    assert peeled and cored
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_rank_of_nonzeros_checks_positions_in_any_order(p):
+    rng = np.random.default_rng(32)
+    for density in (0.05, 0.2, 0.6):
+        M = rng.integers(1, p, size=(25, 30)) * (rng.random((25, 30)) < density)
+        rows, cols = np.nonzero(M)
+        order = rng.permutation(rows.size)
+        rows, cols, vals = rows[order], cols[order], M[rows, cols][order]
+        rank = len(_gauss_jordan(M.tolist(), p)[1])
+        assert rank_of_nonzeros(rows, cols, vals, p) == rank, (density, p)
+        # one position twice, far apart in the list
+        for i, j in ((0, -1), (rows.size // 2, 0)):
+            with pytest.raises(ValueError, match="repeated"):
+                rank_of_nonzeros(np.append(rows, rows[i]), np.append(cols, cols[i]),
+                                 np.append(vals, vals[j]), p)
+
+
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
 def test_rank_of_nonzeros_reduces_and_refuses_repeats(p):
     # the stored p, -p and 2p are zero mod p: a peel of the unreduced

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import P, P2, P_MAX, random_subspace
 from jacring.jacobian import JacobianRing, fermat, random_smooth
-from jacring.modp import nullspace_gfp
+from jacring.modp import matmul_gfp, nullspace_gfp, rank_gfp
 from jacring.polynomials import (
     Polynomial,
     dim_graded,
@@ -74,6 +74,39 @@ def test_dimension_formula_random():
         assert s.dim + i.dim == A.dim + B.dim
         assert A.contains(i) and B.contains(i)
         assert s.contains(A) and s.contains(B)
+
+
+def _containment_cases(p):
+    """(name, A, B) pairs in S^k of a few (n, k): random subspaces, subspaces
+    of A, A plus one vector, and the zero and full subspaces."""
+    rng = np.random.default_rng(17)
+    for n, k in ((2, 3), (3, 2), (3, 3)):
+        D = dim_graded(n, k)
+        zero, full = GradedSubspace.zero(n, p, k), GradedSubspace.full(n, p, k)
+        for dim in (0, 1, D // 2, D - 1, D):
+            A = random_subspace(n, p, k, dim, rng)
+            inside = GradedSubspace.from_rows(
+                matmul_gfp(rng.integers(0, p, size=(max(dim - 1, 1), dim)), A.basis, p), n, p, k)
+            outside = GradedSubspace.from_rows(
+                np.vstack([A.basis, rng.integers(0, p, size=(1, D))]), n, p, k)
+            for name, B in (("random", random_subspace(n, p, k, int(rng.integers(0, D + 1)), rng)),
+                            ("inside", inside), ("plus a vector", outside),
+                            ("zero", zero), ("full", full), ("itself", A)):
+                yield f"n {n}, k {k}, dim A {dim}, B {name}", A, B
+                yield f"n {n}, k {k}, dim A {dim}, B {name}, swapped", B, A
+    # e0 + e2 is not in the span of e0 and e1
+    A = GradedSubspace.span_of_monomials([0, 1], 2, p, 3)
+    yield "monomials", A, GradedSubspace.from_rows([[1, 0, 1, 0]], 2, p, 3)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_contains_by_reduction_matches_rank(p):
+    outcomes = set()
+    for name, A, B in _containment_cases(p):
+        expect = rank_gfp(np.vstack([A.basis, B.basis]), p) == A.dim
+        assert A.contains(B) == expect, f"{name}, p {p}"
+        outcomes.add(expect)
+    assert outcomes == {True, False}
 
 
 def test_multiple_columns_of_chosen_monomials():
@@ -269,7 +302,7 @@ def test_colon_brute_force_and_monotone():
         for g in C1.polynomials():
             for i in range(n):
                 prod = Polynomial.variable(i, n, P) * g
-                assert K1.contains_vector(prod.to_vector(m))
+                assert K1.contains(GradedSubspace.from_rows(prod.to_vector(m), n, P, m))
 
 
 def test_annihilator():

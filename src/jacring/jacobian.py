@@ -238,17 +238,15 @@ class JacobianRing:
             for g in self.partials:
                 (m,) = g.terms
                 lead |= (E >= np.array(m)).all(axis=1)
-            pivots, complement = np.flatnonzero(lead), np.flatnonzero(~lead)
-            live = np.zeros(0, dtype=np.int64)
-            tail = np.zeros((0, len(complement)), dtype=np.int64)
+            R = np.zeros((0, D), dtype=np.int64)
         else:
             R, piv = rref_gfp(self._jacobian_rows(k), p)
-            pivots = np.array(piv, dtype=np.int64)
-            complement = np.setdiff1d(np.arange(D), pivots)
-            tail = R[:, complement]
-            live = np.flatnonzero(tail.any(axis=1))
-            tail = tail[live]
-        data = _DegreeData(pivots, complement, live, tail)
+            lead = np.zeros(D, dtype=bool)
+            lead[piv] = True
+        pivots, complement = np.flatnonzero(lead), np.flatnonzero(~lead)
+        tail = R[:, complement]
+        live = np.flatnonzero(tail.any(axis=1))
+        data = _DegreeData(pivots, complement, live, tail[live])
         self._cache[k] = data
         return data
 

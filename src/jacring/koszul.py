@@ -365,8 +365,9 @@ def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
     if codim < 0 or codim >= D:
         raise ValueError(f"codimension {codim} impossible in dim {D}")
     if style == "monomial":
-        pure = monomial_rank(N * np.eye(n, dtype=np.int64))
-        others = np.setdiff1d(np.arange(D), pure)
+        power = np.zeros(D, dtype=bool)
+        power[monomial_rank(N * np.eye(n, dtype=np.int64))] = True
+        others = np.flatnonzero(~power)
         if len(others) < codim:
             raise BpfSamplingError(
                 f"cannot exclude {codim} non-power monomials at (n={n}, N={N})"
@@ -374,8 +375,9 @@ def sample_bpf_subsystem(n: int, N: int, codim: int, p: int,
         drop = others[rng.choice(len(others), size=codim, replace=False)]
         # pigeonhole: a monomial of degree m > n(N-1) has an exponent >= N, so
         # the pure powers give S^(m-N) * W = S^m at m = bpf_default_mmax(n, N)
-        return GradedSubspace.span_of_monomials(np.setdiff1d(np.arange(D), drop),
-                                                n, p, N)
+        kept = np.ones(D, dtype=bool)
+        kept[drop] = False
+        return GradedSubspace.span_of_monomials(np.flatnonzero(kept), n, p, N)
     if style != "dense":
         raise ValueError(f"style must be 'dense' or 'monomial', got {style!r}")
     for _ in range(BPF_SAMPLE_TRIES):

@@ -30,15 +30,19 @@ value) the same way, so a caller that assembles sparse rows never builds
 them dense; it reduces the values mod p and drops the zeros first, so
 that a stored multiple of p is not peeled as a unit.
 
-Each pivot touches only the nonzero columns of its row, so the cost of an
-elimination follows its fill-in, not its shape, and one scan of each pivot
-column both finds the pivot and names the rows it updates.  All routines
-are pure functions.
+Each pivot of dense elimination (`_echelon`) updates only the nonzero
+columns of its row, or the contiguous slice from its column on when they
+are at least half of that slice, so the cost follows the fill-in, not the
+shape; one scan of each pivot column both finds the pivot and names the
+rows it updates.  A rank counts pivots only: it neither swaps nor scales
+rows, and leaves its int64 copy as scratch.  `kernel_of_rref` reads the
+right kernel off an RREF, one vector per free column, so a kernel costs
+the RREF of M and one RREF of those vectors.  All public routines are
+pure functions.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from functools import lru_cache
@@ -101,7 +105,7 @@ def inv_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in GF(p)")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def _residues(M: np.ndarray, p: int) -> np.ndarray:
@@ -173,9 +177,18 @@ def _peel(rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _echelon(A: np.ndarray, p: int, reduced: bool) -> list[int]:
-    """Row echelon form, in place, of the int64 matrix A with entries in
-    [0, p); returns the pivot columns.  With `reduced` it is the RREF;
-    without, the pivot rows are left unscaled, which a rank does not need."""
+    """Pivot columns of the int64 matrix A with entries in [0, p), found by
+    elimination in place.  With `reduced`, A is left in RREF, its zero rows
+    last.  Without, only the pivots count, and A is left as scratch: a
+    pivot row found below row r is not swapped up but read where it is,
+    and row r is copied over it.
+
+    Each pivot scans its column once, for the pivot and the rows it
+    updates, and gathers their block once, with the pivot column first, so
+    the factors are the block's first column.  The block is the pivot
+    row's nonzero columns, or, when they are at least half of the columns
+    from the pivot on, that whole contiguous slice, which is cheaper to
+    gather; wide rows with few nonzeros keep the gather of their support."""
     rows, cols = A.shape
     r = 0
     pivots: list[int] = []
@@ -186,11 +199,12 @@ def _echelon(A: np.ndarray, p: int, reduced: bool) -> list[int]:
         if nz.size == 0:
             continue
         i = r + int(nz[0])
-        if i != r:
+        if reduced and i != r:
             # rows r and below are zero left of c
-            A[[r, i], c:] = A[[i, r], c:]
-        # row i now holds the old row r, zero in column c, so the scan that
-        # found the pivot also names every row below r to update
+            A[r, c:], A[i, c:] = A[i, c:].copy(), A[r, c:].copy()
+            i = r
+        # rows r to i - 1 are zero in column c, so the scan that found the
+        # pivot also names every row below r to update
         others = r + nz[1:]
         if reduced:
             # on small RREFs an empty concatenation would cost more than a
@@ -198,14 +212,22 @@ def _echelon(A: np.ndarray, p: int, reduced: bool) -> list[int]:
             above = A[:r, c].nonzero()[0]
             if above.size:
                 others = np.concatenate((above, others))
-        support = c + A[r, c:].nonzero()[0]
-        inv = inv_mod(int(A[r, c]), p)
+        support = A[i, c:].nonzero()[0]
+        if 2 * support.size >= cols - c:
+            at, cut = others, slice(c, None)
+        else:
+            at, cut = others[:, None], c + support
+        inv = pow(int(A[i, c]), -1, p)
+        pivot_row = A[i, cut] * inv % p
         if reduced:
-            A[r, support] = (A[r, support] * inv) % p
+            A[i, cut] = pivot_row
         if others.size:
-            at = others[:, None]
-            factors = A[at, c] if reduced else A[at, c] * inv % p
-            A[at, support] = (A[at, support] - factors * A[r, support]) % p
+            block = A[at, cut]
+            block -= block[:, :1] * pivot_row
+            block %= p
+            A[at, cut] = block
+        if i != r:
+            A[i, c:] = A[r, c:]
         pivots.append(c)
         r += 1
     return pivots
@@ -372,17 +394,27 @@ def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return E[: len(pivots)].copy(), pivots  # a view would keep all rows of E
 
 
-def nullspace_gfp(M: np.ndarray, p: int) -> np.ndarray:
-    """Row basis of the right kernel {x : M x = 0}, in RREF.
+def kernel_of_rref(R: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF and pivot columns of the right kernel {x : R x = 0} of a matrix
+    R in RREF with pivot columns `pivots`.
 
-    Row operations on [M^T | I] keep each row of the form [(M x)^T | x^T],
-    so the rows of its RREF whose pivot lies in the identity half are the
-    RREF of the kernel."""
-    A = np.asarray(M)
-    rows, cols = A.shape
-    R, pivots = rref_gfp(np.hstack([A.T, np.eye(cols, dtype=np.int64)]), p)
-    rank = bisect.bisect_left(pivots, rows)
-    return R[rank:, rows:]
+    For each free column f, the vector e_f - sum_i R[i, f] e_(pivots[i])
+    lies in the kernel; these are independent, one per free column, so
+    they span it."""
+    pivots = list(pivots)
+    free = np.ones(R.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    V = np.zeros((free.size, R.shape[1]), dtype=np.int64)
+    V[np.arange(free.size), free] = 1
+    V[:, pivots] = (p - R[:, free].T) % p
+    return rref_gfp(V, p)
+
+
+def nullspace_gfp(M: np.ndarray, p: int) -> np.ndarray:
+    """Row basis of the right kernel {x : M x = 0}, in RREF: the kernel of
+    the RREF of M."""
+    return kernel_of_rref(*rref_gfp(M, p), p)[0]
 
 
 def matmul_gfp(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

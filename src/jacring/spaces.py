@@ -9,7 +9,9 @@ cached `product_index_table`, and multiplying by x_i moves a coefficient
 along one column of that table.  A product span proves fullness by a rank
 (whose singleton peel takes every row of a monomial system) and takes an
 RREF only of rows that fall short; `bpf_check` needs only the rank.  The
-annihilator of a subspace is read off its RREF basis."""
+annihilator of a subspace is the kernel of its RREF basis, read off it by
+`kernel_of_rref`, and the colon [K : S^1] is a kernel too: that of the
+annihilator of K moved along each x_i, read off the RREF of those rows."""
 
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import numpy as np
 
 from .modp import (
     check_budget,
+    kernel_of_rref,
     matmul_gfp,
-    nullspace_gfp,
     rank_gfp,
     rref_gfp,
     validate_prime,
@@ -241,29 +243,22 @@ def product_span(A: GradedSubspace, B: GradedSubspace) -> GradedSubspace:
 
 def annihilator(A: GradedSubspace) -> np.ndarray:
     """Row basis, in RREF, of the functionals (standard dot product)
-    vanishing on A.
-
-    The basis of A is in RREF, so for each free column f the vector
-    e_f - sum_i A[i, f] e_(pivot i) vanishes on A; these are independent
-    and as many as the codimension."""
-    D, p = A.ambient_dim, A.p
-    free = np.setdiff1d(np.arange(D), A.pivots)
-    V = np.zeros((free.size, D), dtype=np.int64)
-    V[np.arange(free.size), free] = 1
-    V[:, list(A.pivots)] = (p - A.basis[:, free].T) % p
-    return rref_gfp(V, p)[0]
+    vanishing on A: the right kernel of its RREF basis."""
+    return kernel_of_rref(A.basis, A.pivots, A.p)[0]
 
 
 def colon_by_linear_forms(K: GradedSubspace) -> GradedSubspace:
-    """K' = [K : S^1] = { g in S^(m-1) : x_i * g in K for all i }."""
+    """K' = [K : S^1] = { g in S^(m-1) : x_i * g in K for all i }: the
+    kernel of the stacked maps g -> N (x_i g), for N the annihilator of K."""
     if K.degree < 1:
         raise ValueError("colon needs degree >= 1")
     n, p = K.n, K.p
     N = annihilator(K)  # g*x_i in K  <=>  N @ (x_i g) = 0
     # x_i (monomial i of S^1) moves the coefficient of monomial q to T[q, i]
     T = product_index_table(n, K.degree - 1, 1)
-    rows = nullspace_gfp(np.vstack([N[:, T[:, i]] for i in range(n)]), p)
-    return GradedSubspace.from_rows(rows, n, p, K.degree - 1)
+    R, pivots = rref_gfp(np.vstack([N[:, T[:, i]] for i in range(n)]), p)
+    basis, pivots = kernel_of_rref(R, pivots, p)
+    return GradedSubspace(n, p, K.degree - 1, basis, tuple(pivots))
 
 
 @dataclass(frozen=True)
@@ -283,8 +278,11 @@ def bpf_default_mmax(n: int, N: int) -> int:
     return n * (N - 1) + 1
 
 
-def bpf_check(W: GradedSubspace, m_max: int | None = None) -> BpfResult:
-    """Verified(m) for the least m <= m_max with S^(m-N) * W = S^m."""
+def bpf_check(W: GradedSubspace, m_max: int | None = None, *,
+              m_min: int = 0) -> BpfResult:
+    """Verified(m) for the least m <= m_max with S^(m-N) * W = S^m.  A W
+    short of S^N is tried from degree N + 1, or from m_min if larger: a
+    caller that knows the degrees below m_min fail spares their ranks."""
     N = W.degree
     n, p = W.n, W.p
     if W.dim == 0:
@@ -295,7 +293,7 @@ def bpf_check(W: GradedSubspace, m_max: int | None = None) -> BpfResult:
         raise ValueError("m_max must be at least the degree of W")
     if W.is_full():  # S^0 * W = W
         return BpfResult(True, N)
-    for m in range(N + 1, m_max + 1):
+    for m in range(max(m_min, N + 1), m_max + 1):
         if _spans_all(_product_rows(GradedSubspace.full(n, p, m - N), W), p):
             return BpfResult(True, m)
     return BpfResult(False)

@@ -146,7 +146,8 @@ def yukawa_chain(ring: JacobianRing, K: GradedSubspace) -> YukawaChainReport:
     steps.append(ChainStep("colon_codim", f"<= {d + 2}", Kp.codim,
                            Kp.codim <= d + 2))
 
-    bpf = bpf_check(Kp)
+    # x_i K' lies in K, of codimension 1 in S^N, so S^1 K' = S^N cannot hold
+    bpf = bpf_check(Kp, m_min=N + 1)
     steps.append(ChainStep("colon_bpf", "verified",
                            f"verified at degree {bpf.degree}" if bpf else "unknown",
                            bool(bpf)))

@@ -252,6 +252,48 @@ def test_elimination_matches_exact_reference(p):
         assert K.tolist() == _reference_kernel(rows, M.shape[1], p), msg
 
 
+def _pivot_step_cases(p):
+    """(name, matrix) pairs for the steps of `_echelon`: pivots found rows
+    below r past live rows, and pivot rows both sparse and dense."""
+    rng = np.random.default_rng(40)
+    # rows 0-2 miss column 0 but are live; the pivot is row 3, and row 0
+    # alone reaches the last column, so losing it loses a pivot
+    below = rng.integers(1, p, size=(7, 9)) * (rng.random((7, 9)) < 0.6)
+    below[:3, 0] = 0
+    below[3:, 0] = rng.integers(1, p, size=4)
+    below[1:, 8] = 0
+    below[0, 8] = rng.integers(1, p)
+    below[6] = (below[4] * 5 + below[5]) % p
+    yield "pivot rows below r", below
+    # sparse rows with the pivots of columns 0-5 and three nonzeros among
+    # the last 40 of 60 columns (support columns), then rows dense from
+    # column 6 (the contiguous slice), and combinations of both kinds
+    wide = np.zeros((16, 60), dtype=np.int64)
+    for j in range(6):
+        wide[j, j] = rng.integers(1, p)
+        wide[j, rng.choice(np.arange(20, 60), size=3, replace=False)] = rng.integers(1, p, size=3)
+    wide[6:12, 6:] = rng.integers(0, p, size=(6, 54))
+    wide[6:12, :6] = rng.integers(0, p, size=(6, 6)) * (rng.random((6, 6)) < 0.5)
+    wide[12:] = matmul_gfp(rng.integers(0, p, size=(4, 12)), wide[:12], p)
+    yield "sparse and dense pivot rows", wide[rng.permutation(16)]
+    yield "sparse and dense pivot rows, transposed", wide.T.copy()
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_echelon_steps_match_exact_reference(p):
+    for name, M in _pivot_step_cases(p):
+        R, pivots = _gauss_jordan(M.tolist(), p)
+        inputs = [(name, M)]
+        if M.max() <= np.iinfo(np.uint16).max:
+            inputs.append((f"{name} as uint16", M.astype(np.uint16)))
+        for tag, A in inputs:
+            msg = (tag, p)
+            assert modp._echelon(A.astype(np.int64), p, reduced=False) == pivots, msg
+            assert rank_gfp(A, p) == len(pivots), msg
+            E, epivots = rref_gfp(A, p)
+            assert epivots == pivots and E.tolist() == R, msg
+
+
 @pytest.fixture
 def rounds(monkeypatch):
     """Counts the rounds of conflict-free pivots that `_sparse_rank` takes."""

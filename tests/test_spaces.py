@@ -5,6 +5,7 @@ import pytest
 
 from conftest import P, P2, P_MAX, random_subspace
 from jacring.jacobian import JacobianRing, fermat, random_smooth
+from jacring import spaces
 from jacring.modp import matmul_gfp, nullspace_gfp, rank_gfp
 from jacring.polynomials import (
     Polynomial,
@@ -343,6 +344,39 @@ def test_bpf_check():
     J = ring.jacobian_piece(3)
     res = bpf_check(J, m_max=ring.X.socle_degree + 1)
     assert res.verified and res.degree <= ring.X.socle_degree + 1
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_bpf_check_from_m_min(monkeypatch, p):
+    # S^(m-N) W = S^m implies the same one degree up, so a check from
+    # m_min reports the later of m_min and the least degree, and forms no
+    # product rows below m_min
+    rng = np.random.default_rng(22)
+    short = GradedSubspace.from_polynomials([parse_polynomial("x0^2", 3, p)], 2)
+    cases = [random_subspace(n, p, N, dim_graded(n, N) - 1, rng)
+             for n, N in ((3, 2), (4, 3), (2, 3))] + [short]
+    degrees = []
+    product_rows = spaces._product_rows
+
+    def spy(A, B):
+        degrees.append(A.degree + B.degree)
+        return product_rows(A, B)
+
+    monkeypatch.setattr(spaces, "_product_rows", spy)
+    verified = []
+    for W in cases:
+        N, m_max = W.degree, bpf_default_mmax(W.n, W.degree)
+        least = bpf_check(W, m_max)
+        verified.append(least.verified)
+        for m_min in range(N + 1, m_max + 2):
+            degrees.clear()
+            res = bpf_check(W, m_max, m_min=m_min)
+            assert min(degrees, default=m_min) >= m_min, (p, W, m_min)
+            if least and m_min <= m_max:
+                assert res == BpfResult(True, max(least.degree, m_min)), (p, W, m_min)
+            else:
+                assert res == BpfResult(False), (p, W, m_min)
+    assert verified == [True, True, True, False]
 
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import P, P2, P_MAX
-from jacring import yukawa
+from jacring import spaces, yukawa
 from jacring.jacobian import JacobianRing, fermat, random_smooth
 from jacring.modp import nullspace_gfp
 from jacring.polynomials import dim_graded
@@ -164,10 +164,32 @@ def test_span_step_falls_back_to_dense_span(monkeypatch, p, bpf):
     span = product_span(GradedSubspace.full(4, p, 5), colon_by_linear_forms(K))
     spans = []
     _spy_spans(monkeypatch, spans)
-    monkeypatch.setattr(yukawa, "bpf_check", lambda W: bpf)
+    monkeypatch.setattr(yukawa, "bpf_check", lambda W, **kw: bpf)
     rep = yukawa_chain(ring, K)
     assert (5, 3) in spans  # the dense span S^5 * K' ran
     assert _got(rep, "span_full_times_colon") == span.dim == dim_graded(4, 8)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_colon_bpf_starts_past_degree_n(monkeypatch, p):
+    # S^1 K' lies in K, a hyperplane of S^N, so the check of degree N can
+    # only fail: starting at N + 1 gives the same result without its rank
+    degrees = []
+    product_rows = spaces._product_rows
+
+    def spy(A, B):
+        degrees.append(A.degree + B.degree)
+        return product_rows(A, B)
+
+    monkeypatch.setattr(spaces, "_product_rows", spy)
+    for seed in range(3):
+        ring, K = _chain_case(p, seed)
+        N = ring.X.N
+        Kp = colon_by_linear_forms(K)
+        assert spaces.bpf_check(Kp, m_min=N + 1) == spaces.bpf_check(Kp), (p, seed)
+        degrees.clear()
+        yukawa_chain(ring, K)
+        assert degrees and N not in degrees, (p, seed, degrees)
 
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])

@@ -124,10 +124,11 @@ def _residues(M: np.ndarray, p: int) -> np.ndarray:
 
 
 def _as_int64(M: np.ndarray, p: int) -> np.ndarray:
-    """A fresh int64 copy of M with entries in [0, p), for elimination in place."""
+    """A fresh C-ordered int64 copy of M with entries in [0, p), for
+    elimination in place."""
     M = np.asarray(M)
     A = _residues(M, p)
-    return A.astype(np.int64, copy=A is M)
+    return A.astype(np.int64, order="C", copy=A is M)
 
 
 def _first_of_each(ids: np.ndarray, size: int) -> np.ndarray:
@@ -391,7 +392,10 @@ def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; zero rows are dropped."""
     E = _as_int64(M, p)
     pivots = _echelon(E, p, reduced=True)
-    return E[: len(pivots)].copy(), pivots  # a view would keep all rows of E
+    # no view of E outlives the elimination, so it shrinks to its rank rows
+    # in place: a view would keep every row alive, a copy add to the peak
+    E.resize((len(pivots), E.shape[1]), refcheck=False)
+    return E, pivots
 
 
 def kernel_of_rref(R: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]]:

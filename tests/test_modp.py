@@ -584,6 +584,27 @@ def test_rref_is_compact():
     assert basis.base is None and basis.flags.owndata
 
 
+def test_rref_makes_one_int64_copy():
+    # a permuted diagonal over zero rows: its elimination updates no row, so
+    # the int64 copy, cut to its rank rows in place, is all the memory an
+    # RREF needs, whatever the input's dtype or order
+    rng = np.random.default_rng(15)
+    M = np.zeros((1200, 1000), dtype=np.int64)
+    M[np.arange(1000), np.arange(1000)] = rng.integers(1, P, size=1000)
+    M = M[rng.permutation(1200)]
+    for A in (M, M.astype(np.uint16), np.asfortranarray(M)):
+        tracemalloc.start()
+        try:
+            R, pivots = rref_gfp(A, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pivots == list(range(1000)), A.dtype
+        assert np.array_equal(R, np.eye(1000, dtype=np.int64)), A.dtype
+        assert R.flags.c_contiguous and R.flags.owndata, A.dtype
+        assert peak <= 1.1 * M.size * 8, (A.dtype, peak)
+
+
 def test_matmul_chunked_large_modulus():
     # 2**26 - 5 is prime and big enough that the inner dimension is chunked
     q = 67108859

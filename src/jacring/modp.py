@@ -189,7 +189,8 @@ def _echelon(A: np.ndarray, p: int, reduced: bool) -> list[int]:
     the factors are the block's first column.  The block is the pivot
     row's nonzero columns, or, when they are at least half of the columns
     from the pivot on, that whole contiguous slice, which is cheaper to
-    gather; wide rows with few nonzeros keep the gather of their support."""
+    gather; on wide rows with few nonzeros the slice would touch many
+    times the cells, so they keep the gather of their support."""
     rows, cols = A.shape
     r = 0
     pivots: list[int] = []

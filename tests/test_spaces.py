@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import P, P2, P_MAX, random_subspace
-from jacring.jacobian import JacobianRing, fermat, random_smooth
 from jacring import spaces
+from jacring.jacobian import JacobianRing, fermat, random_smooth
 from jacring.modp import matmul_gfp, nullspace_gfp, rank_gfp
 from jacring.polynomials import (
     Polynomial,

@@ -4,8 +4,9 @@ scan over (a, s) grids of sampled base-point-free subsystems.
 
 Two evaluation paths compute the same defect:
 
-* generic: materialize the two differentials as dense matrices and take
-  exact ranks over GF(p);
+* generic: materialize the two differentials as dense matrices, each from
+  only the maps it uses (at s = 0, none into degree a+2N), and take exact
+  ranks over GF(p);
 * monomial: when W is spanned by monomials with exponent rows e_j, the
   differentials preserve the ZZ^n multidegree, and the strand of
   multidegree alpha is the augmented chain complex of the simplicial
@@ -56,9 +57,9 @@ from functools import lru_cache
 import numpy as np
 
 from .jacobian import JacobianRing
-from .modp import _peel, _renumber, check_budget, rank_gfp
+from .modp import _peel, check_budget, rank_gfp, rank_of_nonzeros
 from .polynomials import dim_graded, monomial_array, monomial_rank
-from .spaces import GradedSubspace, bpf_check, multiplication_matrix
+from .spaces import GradedSubspace, bpf_check, multiple_columns
 
 
 BPF_SAMPLE_TRIES = 50
@@ -98,19 +99,6 @@ def _comb_count(w: int, t: int) -> int:
     return math.comb(w, t)
 
 
-def _mult_mats(W: GradedSubspace, k: int, ring: JacobianRing | None) -> list[np.ndarray]:
-    """Multiplication by each W basis element as a matrix M^k -> M^(k+N)."""
-    n, N = W.n, W.degree
-    check_budget(dim_graded(n, k + N), dim_graded(n, k))
-    mats = []
-    for g in W.basis:
-        M = multiplication_matrix(g, n, N, k)
-        if ring is not None:
-            M = ring.reduce(M[:, ring.quotient_basis(k)].T, k + N).T
-        mats.append(M)
-    return mats
-
-
 @lru_cache(maxsize=None)
 def _faces(w: int, t: int) -> np.ndarray:
     """The t-subsets of range(w) in lexicographic order, one per row."""
@@ -137,16 +125,38 @@ def _simplex_boundary(w: int, t: int) -> tuple[np.ndarray, ...]:
     return cols or (np.zeros(0, dtype=np.int64),) * 4
 
 
-def _koszul_delta(mats: list[np.ndarray], w: int, t: int, p: int) -> np.ndarray:
+def _koszul_delta(W: GradedSubspace, k: int, t: int,
+                  ring: JacobianRing | None) -> np.ndarray:
     """Differential M^k (x) Λ^t W -> M^(k+N) (x) Λ^(t-1) W: the simplex
-    boundary on Λ W, with dropping vertex j acting as multiplication by w_j."""
-    dim_tgt, dim_src = mats[0].shape
-    rows, cols = dim_tgt * _comb_count(w, t - 1), dim_src * _comb_count(w, t)
+    boundary on Λ W, with dropping vertex j acting as multiplication by w_j,
+    one gather of its products (`multiple_columns`), reduced into R on a
+    ring.
+
+    A zero exterior power leaves its degree unread: at t = 0 the target is
+    Λ^(-1) W = 0, and at t > dim W the source is.  The budget is checked on
+    the shape before any product is gathered, and a differential with no
+    entries builds no map."""
+    n, N, p, w = W.n, W.degree, W.p, W.dim
+    faces_tgt, faces_src = _comb_count(w, t - 1), _comb_count(w, t)
+
+    def basis(m: int) -> np.ndarray:
+        return np.arange(dim_graded(n, m)) if ring is None else ring.quotient_basis(m)
+
+    src = basis(k) if faces_src else np.zeros(0, dtype=np.int64)
+    dim_tgt = len(basis(k + N)) if faces_tgt else 0
+    rows, cols = dim_tgt * faces_tgt, len(src) * faces_src
     check_budget(max(rows, 1), max(cols, 1))
-    D = np.zeros((dim_tgt, _comb_count(w, t - 1), dim_src, _comb_count(w, t)),
-                 dtype=np.int64)
-    tgt, src, j, sign = _simplex_boundary(w, t)
-    D[:, tgt, :, src] = sign[:, None, None] * np.stack(mats)[j] % p
+    D = np.zeros((dim_tgt, faces_tgt, len(src), faces_src), dtype=np.int64)
+    if D.size:
+        tgt, face, j, sign = _simplex_boundary(w, t)
+        for v, g in enumerate(W.basis):
+            at, vals = multiple_columns(g, n, N, k, which=src)
+            M = np.zeros((len(src), dim_graded(n, k + N)), dtype=np.int64)
+            M[np.arange(len(src))[:, None], at] = vals
+            if ring is not None:
+                M = ring.reduce(M, k + N)
+            drops = j == v
+            D[:, tgt[drops], :, face[drops]] = sign[drops, None, None] * M.T % p
     return D.reshape(rows, cols)
 
 
@@ -158,10 +168,8 @@ def koszul_slice(W: GradedSubspace, a: int, s: int,
     if W.dim == 0:
         raise ValueError("W must be nonzero")
     p, N, w = W.p, W.degree, W.dim
-    mats_in = _mult_mats(W, a, ring)
-    mats_out = _mult_mats(W, a + N, ring)
-    delta_in = _koszul_delta(mats_in, w, s + 1, p)
-    delta_out = _koszul_delta(mats_out, w, s, p)
+    delta_in = _koszul_delta(W, a, s + 1, ring)
+    delta_out = _koszul_delta(W, a + N, s, ring)
     return KoszulSlice(
         module_kind="R" if ring is not None else "S",
         a=a, s=s, N=N, w=w, delta_in=delta_in, delta_out=delta_out, p=p,
@@ -294,11 +302,7 @@ def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
     height = _comb_count(fits[1].shape[1], t - 1)
     for i in np.flatnonzero(np.bincount(rows // height)):
         at = rows // height == i
-        r, n_r = _renumber(rows[at])
-        c, n_c = _renumber(cols[at])
-        M = np.zeros((n_r, n_c), dtype=np.int8)
-        M[r, c] = signs[at]
-        rank += rank_gfp(M, p)
+        rank += rank_of_nonzeros(rows[at], cols[at], signs[at], p)
     return rank
 
 

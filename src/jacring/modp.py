@@ -36,9 +36,9 @@ are at least half of that slice, so the cost follows the fill-in, not the
 shape; one scan of each pivot column both finds the pivot and names the
 rows it updates.  A rank counts pivots only: it neither swaps nor scales
 rows, and leaves its int64 copy as scratch.  `kernel_of_rref` reads the
-right kernel off an RREF, one vector per free column, so a kernel costs
-the RREF of M and one RREF of those vectors.  All public routines are
-pure functions.
+right kernel off an RREF, one vector per free column, so the kernel of M,
+`kernel_of_rref(*rref_gfp(M, p), p)`, costs the RREF of M and one RREF of
+those vectors.  All public routines are pure functions.
 """
 
 from __future__ import annotations
@@ -414,12 +414,6 @@ def kernel_of_rref(R: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]
     V[np.arange(free.size), free] = 1
     V[:, pivots] = (p - R[:, free].T) % p
     return rref_gfp(V, p)
-
-
-def nullspace_gfp(M: np.ndarray, p: int) -> np.ndarray:
-    """Row basis of the right kernel {x : M x = 0}, in RREF: the kernel of
-    the RREF of M."""
-    return kernel_of_rref(*rref_gfp(M, p), p)[0]
 
 
 def matmul_gfp(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

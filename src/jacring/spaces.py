@@ -3,15 +3,17 @@ linear-system arguments need: sum, intersection, products, colon by the
 linear forms, and a semi-decision for base-point-freeness.
 
 A subspace is kept as the RREF of a basis in graded-lex monomial
-coordinates.  Products never build multiplication matrices: the product
-rows of two subspaces are one gather of their basis nonzeros through the
-cached `product_index_table`, and multiplying by x_i moves a coefficient
-along one column of that table.  A product span proves fullness by a rank
-(whose singleton peel takes every row of a monomial system) and takes an
-RREF only of rows that fall short; `bpf_check` needs only the rank.  The
-annihilator of a subspace is the kernel of its RREF basis, read off it by
-`kernel_of_rref`, and the colon [K : S^1] is a kernel too: that of the
-annihilator of K moved along each x_i, read off the RREF of those rows."""
+coordinates.  No module builds multiplication matrices: the products of
+one form with monomials are a gather through the cached
+`product_index_table` (`multiple_columns`), the product rows of two
+subspaces are one gather of their basis nonzeros through it, and
+multiplying by x_i moves a coefficient along one column of it.  A product
+span proves fullness by a rank (whose singleton peel takes every row of a
+monomial system) and takes an RREF only of rows that fall short;
+`bpf_check` needs only the rank.  The annihilator of a subspace is the
+kernel of its RREF basis, read off it by `kernel_of_rref`, and the colon
+[K : S^1] is a kernel too: that of the annihilator of K moved along each
+x_i, read off the RREF of those rows."""
 
 from __future__ import annotations
 
@@ -167,17 +169,6 @@ def multiple_columns(g: np.ndarray, n: int, b: int, a: int,
     if which is not None:
         T = T[which]
     return T[:, terms], g[terms]
-
-
-def multiplication_matrix(g: np.ndarray, n: int, b: int, a: int) -> np.ndarray:
-    """Matrix of multiplication by g, a coefficient row of S^b in n
-    variables, as a map S^a -> S^(a+b), columns indexed by the basis of S^a.
-    It is the transpose of a C-ordered array whose row i is g times monomial
-    i of S^a, so `.T` gives product rows ready for elimination."""
-    cols, vals = multiple_columns(g, n, b, a)
-    M = np.zeros((dim_graded(n, a), dim_graded(n, a + b)), dtype=np.int64)
-    M[np.arange(len(cols))[:, None], cols] = vals
-    return M.T
 
 
 def _product_rows(A: GradedSubspace, B: GradedSubspace) -> np.ndarray:

@@ -26,7 +26,7 @@ from jacring.polynomials import (
     monomial_index,
     parse_polynomial,
 )
-from jacring.spaces import GradedSubspace, multiplication_matrix
+from jacring.spaces import GradedSubspace
 
 
 def fermat_series(d, N, kmax):
@@ -381,12 +381,25 @@ def _scatter(nonzeros, shape):
     return M
 
 
+def _products(g, a, k):
+    """Rows g q, for the monomials q of S^a in graded-lex order, from
+    Polynomial products, on the graded-lex basis of S^k."""
+    n = g.n
+    idx = monomial_index(n, k)
+    ref = np.zeros((dim_graded(n, a), dim_graded(n, k)), dtype=np.int64)
+    for r, q in enumerate(monomial_exponents(n, a)):
+        for m, c in (g * Polynomial(n, g.p, {q: 1})).terms.items():
+            ref[r, idx[m]] = c
+    return ref
+
+
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
 def test_jacobian_nonzeros_match_multiplication_matrices(p):
-    # the assembler against multiplication_matrix(d_i f, a).T, one partial
-    # at a time: every row of J^k, and Macaulay's square subset at sigma+1
-    # (the multiples q with q_j < N-1 for j < i), on dense forms and on a
-    # form whose partial d_2 f is zero
+    # the assembler against the multiplication matrices of the partials,
+    # built from Polynomial products, one partial at a time: every row of
+    # J^k, and Macaulay's square subset at sigma+1 (the multiples q with
+    # q_j < N-1 for j < i), on dense forms and on a form whose partial
+    # d_2 f is zero
     rng = np.random.default_rng(25)
     forms = []
     for n in range(2, 6):
@@ -397,33 +410,37 @@ def test_jacobian_nonzeros_match_multiplication_matrices(p):
     for X in forms:
         ring = JacobianRing(X)
         n, b = X.n, X.N - 1
-        ks = [b - 1, b, X.socle_degree + 1]
-        for k, square in [(k, False) for k in ks] + [(X.socle_degree + 1, True)]:
-            if square and len(ring.partials) < n:
-                continue
-            msg = (str(X.f)[:40], n, X.N, k, square, p)
+        for k in (b - 1, b, X.socle_degree + 1):
             D, a = dim_graded(n, k), k - b
+            msg = (str(X.f)[:40], n, X.N, k, p)
+            squares = [False]
+            if k == X.socle_degree + 1 and len(ring.partials) == n:
+                squares.append(True)
+            assembled = {square: ring._jacobian_nonzeros(k, square) for square in squares}
+            for square, (rows, cols, vals) in assembled.items():
+                assert rows.dtype == cols.dtype == np.int64, msg + (square,)
+                assert vals.min(initial=1) > 0 and vals.max(initial=0) < p, msg + (square,)
+            dense = ring._jacobian_rows(k)
             low = monomial_array(n, a) < b
-            rows, cols, vals = ring._jacobian_nonzeros(k, square)
-            assert rows.dtype == cols.dtype == np.int64, msg
-            assert vals.min(initial=1) > 0 and vals.max(initial=0) < p, msg
-            dense = None if square else ring._jacobian_rows(k)
-            start = 0
+            starts = dict.fromkeys(squares, 0)
             for i, g in enumerate(ring.partials):
-                ref = multiplication_matrix(g.to_vector(b), n, b, a).T
-                if square:
-                    ref = ref[low[:, :i].all(axis=1)]
-                block = (rows >= start) & (rows < start + len(ref))
-                got = _scatter((rows[block] - start, cols[block], vals[block]), ref.shape)
-                assert np.array_equal(got, ref), msg + (i,)
-                if dense is not None:
-                    assert np.array_equal(dense[start:start + len(ref)], ref), msg + (i,)
-                start += len(ref)
-                del ref, got  # a 1820x4845 int64 block at n = N = 5
-            assert start == (D if square else len(ring.partials) * dim_graded(n, a)), msg
-            assert rows.max(initial=-1) < start, msg
-            if dense is not None:
-                assert dense.shape == (start, D), msg
+                ref = _products(g, a, k)
+                assert np.array_equal(dense[starts[False]:starts[False] + len(ref)], ref), \
+                    msg + (i,)
+                for square, (rows, cols, vals) in assembled.items():
+                    part = ref[low[:, :i].all(axis=1)] if square else ref
+                    start = starts[square]
+                    block = (rows >= start) & (rows < start + len(part))
+                    got = _scatter((rows[block] - start, cols[block], vals[block]), part.shape)
+                    assert np.array_equal(got, part), msg + (square, i)
+                    starts[square] += len(part)
+                del ref, part, got  # a 1820x4845 int64 block at n = N = 5
+            for square, (rows, _, _) in assembled.items():
+                start = starts[square]
+                assert start == (D if square else len(ring.partials) * dim_graded(n, a)), \
+                    msg + (square,)
+                assert rows.max(initial=-1) < start, msg + (square,)
+            assert dense.shape == (starts[False], D), msg
 
 
 def test_budget_refuses_before_building_tables(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from jacring.koszul import (
     report_from_slice,
     sample_bpf_subsystem,
 )
-from jacring.modp import SizeBudgetError, matmul_gfp, rank_gfp
-from jacring.polynomials import dim_graded, monomial_array
+from jacring.modp import SizeBudgetError, matmul_gfp, rank_gfp, rank_of_nonzeros
+from jacring.polynomials import Polynomial, dim_graded, monomial_array, monomial_exponents
 from jacring.spaces import GradedSubspace, bpf_check, bpf_default_mmax, product_span
 from jacring.yukawa import power_span
 
@@ -99,6 +100,98 @@ def test_monomial_path_matches_generic():
             assert fast.shape_out == slow.shape_out, case
 
 
+def _reference_delta(W, k, t, ring):
+    """M^k (x) Λ^t W -> M^(k+N) (x) Λ^(t-1) W from Polynomial products: the
+    source (q, T) goes to sum_pos (-1)^pos (w_(T[pos]) q) (x) (T without
+    T[pos]), reduced into R on a ring.  Row c C(w, t-1) + (target face),
+    column (source monomial) C(w, t) + (source face), faces in
+    lexicographic order."""
+    n, N, p, w = W.n, W.degree, W.p, W.dim
+    gens = W.polynomials()
+    monomials = monomial_exponents(n, k)
+    if ring is None:
+        src, dim_tgt = range(len(monomials)), dim_graded(n, k + N)
+    else:
+        src, dim_tgt = ring.quotient_basis(k), ring.hilbert(k + N)
+    targets = {T: i for i, T in enumerate(itertools.combinations(range(w), t - 1))} if t else {}
+    faces = list(itertools.combinations(range(w), t))
+    D = np.zeros((dim_tgt * len(targets), len(src) * len(faces)), dtype=np.int64)
+    for c, q in enumerate(src):
+        products = []
+        for g in gens:
+            v = (g * Polynomial(n, p, {monomials[q]: 1})).to_vector(k + N)
+            products.append(v if ring is None else ring.reduce(v, k + N)[0])
+        for f, T in enumerate(faces):
+            for pos, j in enumerate(T):
+                row = targets[T[:pos] + T[pos + 1:]]
+                D[row::len(targets), c * len(faces) + f] += (-1) ** pos * products[j]
+    return D % p
+
+
+def _slice_cases(p, rng):
+    """(W, ring, a) with no ring and with certified rings (a dense form and
+    Fermat), W of one or two generators (so t runs past dim W), dense, a
+    monomial system, and W = J^N; a from -2 up."""
+    for n, N in ((2, 1), (2, 3), (3, 2)):
+        D = dim_graded(n, N)
+        Ws = [random_subspace(n, p, N, dim, rng) for dim in {1, 2, min(4, D)}]
+        Ws.append(GradedSubspace.span_of_monomials(range(0, D, 2), n, p, N))
+        for W in Ws:
+            for a in (-2, -1, 0, 2):
+                yield W, None, a
+    for ring in (random_smooth(1, 3, p, rng), JacobianRing(fermat(1, 4, p))):
+        ring.require_smooth()
+        X = ring.X
+        Ws = [random_subspace(X.n, p, X.N, dim, rng) for dim in (1, 2)]
+        Ws.append(ring.jacobian_piece(X.N))
+        for W in Ws:
+            for a in (-2, 0, 1, X.socle_degree - X.N):
+                yield W, ring, a
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_slice_matches_polynomial_products(p):
+    rng = np.random.default_rng(42)
+    past_w = 0
+    for W, ring, a in _slice_cases(p, rng):
+        for s in range(3):
+            sl = koszul_slice(W, a, s, ring)
+            case = (p, W, ring is not None, a, s)
+            assert sl.module_kind == ("S" if ring is None else "R"), case
+            for got, k, t in ((sl.delta_in, a, s + 1), (sl.delta_out, a + W.degree, s)):
+                ref = _reference_delta(W, k, t, ring)
+                assert got.dtype == np.int64 and got.shape == ref.shape, case + (t,)
+                assert np.array_equal(got, ref), case + (t,)
+                past_w += t > W.dim
+    assert past_w, p
+
+
+def test_slice_reads_only_the_degrees_it_uses(monkeypatch):
+    # at s = 0 the outgoing differential maps into Λ^(-1) W = 0, so no
+    # degree a+2N is eliminated
+    ring = random_smooth(1, 4, P, np.random.default_rng(32))
+    N = ring.X.N
+    W = GradedSubspace.full(ring.X.n, P, N)
+    for a in range(-1, 3):
+        sl = koszul_slice(W, a, 0, ring)
+        assert a + 2 * N not in ring._cache, (a, sorted(ring._cache))
+        assert sl.delta_out.shape == (0, ring.hilbert(a + N)), a
+    # the budget binds on the shape of the differential before any product
+    # is reduced; the degree data is read under the default budget first
+    a, s = 0, 1
+    cells = (ring.hilbert(a + N) * math.comb(W.dim, s)) * (ring.hilbert(a) * math.comb(W.dim, s + 1))
+    reduced = []
+    reduce = ring.reduce
+    monkeypatch.setattr(ring, "reduce", lambda V, k: reduced.append(k) or reduce(V, k))
+    monkeypatch.setenv("JACRING_CELL_BUDGET", str(cells - 1))
+    with pytest.raises(SizeBudgetError):
+        koszul_slice(W, a, s, ring)
+    assert reduced == []
+    monkeypatch.setenv("JACRING_CELL_BUDGET", str(cells))
+    assert koszul_slice(W, a, s, ring).delta_in.size == cells
+    assert reduced
+
+
 def _boundary_matrix(w, t):
     """Dense simplex boundary from t-subsets to (t-1)-subsets of range(w),
     entries 0 and +-1 (the elimination reduces them mod p): the reference
@@ -170,8 +263,8 @@ COMPLEXES = {
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
 def test_reduced_strand_ranks_match_elimination(monkeypatch, p):
     cores = []
-    monkeypatch.setattr(koszul, "rank_gfp",
-                        lambda M, q: cores.append(M.shape) or rank_gfp(M, q))
+    monkeypatch.setattr(koszul, "rank_of_nonzeros",
+                        lambda r, c, v, q: cores.append(len(v)) or rank_of_nonzeros(r, c, v, q))
 
     def check(fits, w, t, case):
         """Each strand alone, then all of them at once, against the dense

@@ -6,7 +6,7 @@ import pytest
 from conftest import P, P2, P_MAX, random_subspace
 from jacring import spaces
 from jacring.jacobian import JacobianRing, fermat, random_smooth
-from jacring.modp import matmul_gfp, nullspace_gfp, rank_gfp
+from jacring.modp import kernel_of_rref, matmul_gfp, rank_gfp, rref_gfp
 from jacring.polynomials import (
     Polynomial,
     dim_graded,
@@ -23,7 +23,6 @@ from jacring.spaces import (
     bpf_default_mmax,
     colon_by_linear_forms,
     multiple_columns,
-    multiplication_matrix,
     product_span,
     subspace_intersection,
     subspace_sum,
@@ -129,28 +128,29 @@ def test_multiple_columns_of_chosen_monomials():
     assert cols.shape == (0, len(g.terms))
 
 
-def test_multiplication_matrix_agrees_with_product():
+def test_multiple_columns_agree_with_product():
+    # every monomial of S^a by default, against Polynomial products: random
+    # forms, a monomial, and the x_i that colon_by_linear_forms moves along
     from jacring.polynomials import monomial_exponents
 
     rng = np.random.default_rng(13)
     n, a = 3, 2
-    ms = monomial_exponents(n, 2)
+    ms = monomial_exponents(n, a)
 
-    def check(row, b, g):
-        M = multiplication_matrix(row, n, b, a)
-        v = rng.integers(0, P, size=dim_graded(n, a), dtype=np.int64)
-        f = Polynomial.from_vector(v, n, a, P)
-        assert np.array_equal((M @ v) % P, (g * f).to_vector(a + b))
+    def check(g, b):
+        cols, vals = multiple_columns(g.to_vector(b), n, b, a)
+        assert cols.shape == (len(ms), len(g.terms)), g
+        for m, row in zip(ms, cols):
+            got = np.zeros(dim_graded(n, a + b), dtype=np.int64)
+            got[row] = vals
+            assert np.array_equal(got, (g * Polynomial(n, P, {m: 1})).to_vector(a + b)), (g, m)
 
     for _ in range(10):
         picks = rng.choice(len(ms), size=3, replace=False)
-        g = Polynomial(n, P, {ms[int(i)]: int(rng.integers(1, P)) for i in picks})
-        check(g.to_vector(2), 2, g)
-    g = Polynomial(n, P, {ms[4]: 5})
-    check(g.to_vector(2), 2, g)
-    # the rows colon_by_linear_forms passes: x_i is monomial i of S^1
-    for i, x in enumerate(np.eye(n, dtype=np.int64)):
-        check(x, 1, Polynomial.variable(i, n, P))
+        check(Polynomial(n, P, {ms[int(i)]: int(rng.integers(1, P)) for i in picks}), 2)
+    check(Polynomial(n, P, {ms[4]: 5}), 2)
+    for i in range(n):
+        check(Polynomial.variable(i, n, P), 1)
 
 
 def test_product_span_examples():
@@ -330,7 +330,7 @@ def test_annihilator_matches_nullspace(p):
     for A in cases:
         ann = annihilator(A)
         assert ann.shape == (A.codim, A.ambient_dim), (p, A)
-        assert np.array_equal(ann, nullspace_gfp(A.basis, p)), (p, A)
+        assert np.array_equal(ann, kernel_of_rref(*rref_gfp(A.basis, p), p)[0]), (p, A)
 
 
 def test_bpf_check():

@@ -23,12 +23,19 @@ Two evaluation paths compute the same defect:
   number of fitting k-faces and f_0 = 1.  The identity is one-sided: a
   strand without a cone point may still be exact.
 
+  Both filters that run before any strand is reduced are gathers over all
+  alpha at once.  A k-face's exponents sum to a monomial of S^(kN), so
+  whether it fits in Delta_alpha is read off a table of divisibility
+  between S^(a+(s+1)N) and S^(kN), cached by degrees alone, where that
+  table is no wider than the k-faces; otherwise alpha is compared with
+  each distinct face sum.  The cone test groups the boundary nonzeros
+  (T, T | {v}) by v and gathers them for a block of vertices at a time.
+
   The other strands are reduced by matchings that keep the rank exactly
   (structured Gaussian elimination, LaMacchia-Odlyzko 1990; as acyclic
   matchings of discrete Morse theory, Forman 1998).  The cone filter is
-  the matching that empties a strand, and it runs first because it is
-  vectorized over all alpha.  Each strand is assembled sparsely, from the
-  nonzeros of `_simplex_boundary` on its fitting t-faces.
+  the matching that empties a strand.  Each strand is assembled sparsely,
+  from the nonzeros of `_simplex_boundary` on its fitting t-faces.
   - t = 2: d_2 is the signed incidence matrix of the graph of fitting
     vertices and edges, so its rank is f_1 minus the number of components,
     the number of edges in a spanning forest.
@@ -42,7 +49,8 @@ Two evaluation paths compute the same defect:
     peeling usually empties the strand.  It cannot empty the triangles
     of an acyclic 2-complex that is not collapsible, such as the dunce hat,
     since a full matching would be a discrete gradient with one critical
-    vertex.  Only what is left, the core, is eliminated.
+    vertex.  Only what is left, the core, is eliminated, one strand at a
+    time: the core keeps the order of the nonzeros, grouped by strand.
 
 Both paths take their signs from one simplex boundary, `_simplex_boundary`.
 """
@@ -195,33 +203,85 @@ def report_from_slice(sl: KoszulSlice) -> KoszulReport:
 # -- multidegree fast path ---------------------------------------------------
 
 
-def _face_fits(E: np.ndarray, alphas: np.ndarray, top: int) -> list[np.ndarray]:
-    """fits[k][alpha, i] for k = 0..top: the i-th k-face (as in `_faces`) of
-    the generators with exponent rows E fits, i.e. its exponents sum to at
-    most alpha.  The empty face always fits."""
-    w = len(E)
+@lru_cache(maxsize=None)
+def _divides(n: int, A: int, B: int) -> np.ndarray:
+    """table[alpha, beta]: the beta-th monomial of S^B divides the alpha-th
+    of S^A, one compare of exponents per variable, with its bits packed
+    along alpha (`np.packbits`), so a column gather moves an eighth of the
+    bytes."""
+    alphas, betas = monomial_array(n, A), monomial_array(n, B)
+    check_budget(len(alphas), len(betas))
+    table = np.ones((len(alphas), len(betas)), dtype=bool)
+    for i in range(n):
+        table &= betas[:, i] <= alphas[:, i, None]
+    table = np.packbits(table, axis=0)
+    table.setflags(write=False)
+    return table
+
+
+def _face_fits(E: np.ndarray, A: int, top: int) -> list[np.ndarray]:
+    """fits[k][alpha, i] for k = 0..top and alpha in S^A: the i-th k-face
+    (as in `_faces`) of the generators with exponent rows E, all of one
+    degree N, fits, i.e. its exponents sum to at most alpha.
+
+    That sum is a monomial of S^(kN).  Where S^(kN) has no more monomials
+    than there are k-faces, fits[k] is a column gather from `_divides`,
+    which is then no larger than fits[k] and is cached by degrees alone.
+    Otherwise alpha is compared, one variable at a time, with each distinct
+    face sum once.  The empty face always fits."""
+    (w, n), N = E.shape, int(E[0].sum())
+    alphas = monomial_array(n, A)
     fits = []
     for k in range(top + 1):
-        check_budget(len(alphas), _comb_count(w, k))
+        faces = _comb_count(w, k)
+        check_budget(len(alphas), faces)
         sums = E[_faces(w, k)].sum(1)
-        fit = np.ones((len(alphas), len(sums)), dtype=bool)
-        for i in range(E.shape[1]):  # per variable: no alpha x face x n array
-            fit &= sums[:, i] <= alphas[:, i, None]
-        fits.append(fit)
+        at = monomial_rank(sums)
+        if k * N <= A and dim_graded(n, k * N) <= faces:
+            bits = _divides(n, A, k * N)[:, at]
+            fits.append(np.unpackbits(bits, axis=0, count=len(alphas)).view(bool))
+            continue
+        _, first, at = np.unique(at, return_index=True, return_inverse=True)
+        fit = np.ones((len(alphas), len(first)), dtype=bool)
+        for i, x in enumerate(sums[first].T):
+            fit &= x <= alphas[:, i, None]
+        fits.append(fit[:, at])
     return fits
+
+
+@lru_cache(maxsize=None)
+def _by_vertex(w: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tgt, src) of the nonzeros of `_simplex_boundary(w, t)`, stably
+    sorted by dropped vertex: vertex v owns entries v*C(w-1, t-1) onwards."""
+    tgt, src, j, _ = _simplex_boundary(w, t)
+    order = np.argsort(j, kind="stable")
+    pairs = tgt[order], src[order]
+    for x in pairs:
+        x.setflags(write=False)
+    return pairs
 
 
 def _cones(fits: list[np.ndarray], w: int) -> list[np.ndarray]:
     """cones[t][alpha]: Delta_alpha has a cone point v through faces of size
-    t-1, i.e. T | {v} fits for every fitting face T of size < t without v."""
-    ok = np.ones((len(fits[0]), w), dtype=bool)
+    t-1, i.e. T | {v} fits for every fitting face T of size < t without v.
+
+    The pairs (T, T | {v}) are the nonzeros (tgt, src, v) of the boundary.
+    They are gathered for a block of vertices at a time, so that the two
+    gathers together are no wider than fits[k+1]."""
+    m = len(fits[0])
+    ok = np.ones((m, w), dtype=bool)
     cones = [ok.any(1)]
     for k in range(len(fits) - 1):
-        # the pairs (T, T | {v}) are the nonzeros (tgt, src, v) of the boundary
-        tgt, src, j, _ = _simplex_boundary(w, k + 1)
-        for v in range(w):
-            at = j == v
-            ok[:, v] &= (fits[k + 1][:, src[at]] | ~fits[k][:, tgt[at]]).all(1)
+        tgt, src = _by_vertex(w, k + 1)
+        own = _comb_count(w - 1, k)  # the (k+1)-faces through a vertex
+        if own:
+            step = max(1, fits[k + 1].shape[1] // (2 * own))
+            for v in range(0, w, step):
+                u = min(v + step, w)
+                # a fitting T whose T | {v} does not fit: fits[k] > fits[k+1]
+                gap = fits[k + 1][:, src[v * own:u * own]]
+                np.less(gap, fits[k][:, tgt[v * own:u * own]], out=gap)
+                ok[:, v:u] &= ~gap.reshape(m, u - v, own).any(2)
         cones.append(ok.any(1))
     return cones
 
@@ -298,11 +358,13 @@ def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
         return int(_forest(fits[2], fits[1].shape[1]).sum())
     rows, cols, signs = _strand_nonzeros(fits, t)
     rank, core = _peel(rows, cols)
+    if not core.any():
+        return rank
     rows, cols, signs = rows[core], cols[core], signs[core]
-    height = _comb_count(fits[1].shape[1], t - 1)
-    for i in np.flatnonzero(np.bincount(rows // height)):
-        at = rows // height == i
-        rank += rank_of_nonzeros(rows[at], cols[at], signs[at], p)
+    # the nonzeros come grouped by strand, and peeling keeps their order
+    cuts = np.flatnonzero(np.diff(rows // _comb_count(fits[1].shape[1], t - 1))) + 1
+    for r, c, g in zip(*(np.split(x, cuts) for x in (rows, cols, signs))):
+        rank += rank_of_nonzeros(r, c, g, p)
     return rank
 
 
@@ -317,7 +379,7 @@ def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulRepor
     n, p, N = W.n, W.p, W.degree
     w = W.dim
     E = monomial_array(n, N)[list(W.pivots)]
-    fits = _face_fits(E, monomial_array(n, a + (s + 1) * N), s + 1)
+    fits = _face_fits(E, a + (s + 1) * N, s + 1)
     cones = _cones(fits, w)
 
     def strand_ranks(t: int) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_cone_ranks_match_elimination(p):
     for n, N, keep, a, s in _cone_cases(np.random.default_rng(seed)):
         W = GradedSubspace.span_of_monomials(keep, n, p, N)
         E = monomial_array(n, N)[list(W.pivots)]
-        fits = koszul._face_fits(E, monomial_array(n, a + (s + 1) * N), s + 1)
+        fits = koszul._face_fits(E, a + (s + 1) * N, s + 1)
         cones = koszul._cones(fits, W.dim)
         for t in range(s + 2):
             B = _boundary_matrix(W.dim, t)
@@ -281,7 +282,7 @@ def test_reduced_strand_ranks_match_elimination(monkeypatch, p):
     for n, N, keep, a, s in _cone_cases(np.random.default_rng(seed)):
         W = GradedSubspace.span_of_monomials(keep, n, p, N)
         E = monomial_array(n, N)[list(W.pivots)]
-        fits = koszul._face_fits(E, monomial_array(n, a + (s + 1) * N), s + 1)
+        fits = koszul._face_fits(E, a + (s + 1) * N, s + 1)
         cones = koszul._cones(fits, W.dim)
         for t in range(2, s + 2):
             rest = ~cones[t] & fits[t].any(1)
@@ -293,6 +294,175 @@ def test_reduced_strand_ranks_match_elimination(monkeypatch, p):
         for t in range(2, len(fits)):
             check(fits, w, t, f"p {p}, {name}")
     assert cores, f"seed {seed}, p {p}: peeling left no core to eliminate"
+
+
+def _face_fits_by_variable(E, alphas, top):
+    """Reference face fits: one compare of face sums with alpha per
+    variable, over every (alpha, face) pair."""
+    w = len(E)
+    fits = []
+    for k in range(top + 1):
+        sums = E[koszul._faces(w, k)].sum(1)
+        fit = np.ones((len(alphas), len(sums)), dtype=bool)
+        for i in range(E.shape[1]):
+            fit &= sums[:, i] <= alphas[:, i, None]
+        fits.append(fit)
+    return fits
+
+
+def _cones_by_vertex(fits, w):
+    """Reference cone test: one pass over the boundary per vertex."""
+    ok = np.ones((len(fits[0]), w), dtype=bool)
+    cones = [ok.any(1)]
+    for k in range(len(fits) - 1):
+        tgt, src, j, _ = koszul._simplex_boundary(w, k + 1)
+        for v in range(w):
+            at = j == v
+            ok[:, v] &= (fits[k + 1][:, src[at]] | ~fits[k][:, tgt[at]]).all(1)
+        cones.append(ok.any(1))
+    return cones
+
+
+# (n, N, codim) of the green-monomial benchmark, sampled from seed 1000n+10N+c
+GREEN_SYSTEMS = ((3, 4, 0), (3, 4, 1), (3, 4, 2), (4, 2, 0), (4, 2, 1), (4, 2, 2), (4, 3, 2))
+
+
+def _filter_cases():
+    """(n, N, keep, a, s): the cone cases; the 105 cells of the
+    green-monomial benchmark (a <= 4, s <= 2); and edge cases: t past w,
+    where a vertex lies on no face of the size tested, degrees A = a+(s+1)N
+    below the face degrees kN (A < 0 included), a = -1 and N = 1."""
+    yield from _cone_cases(np.random.default_rng(41))
+    for n, N, c in GREEN_SYSTEMS:
+        W = sample_bpf_subsystem(n, N, c, P, np.random.default_rng(1000 * n + 10 * N + c),
+                                 style="monomial")
+        for a in range(5):
+            for s in range(3):
+                yield n, N, list(W.pivots), a, s
+    yield 2, 2, [1], 1, 3                  # w = 1: no vertex lies on an edge
+    yield 3, 1, [0, 2], -1, 3              # w = 2, N = 1: A = 3 < 4N
+    yield 3, 1, [0, 1, 2], -1, 0           # N = 1, A = 0: only the empty face
+    yield 2, 1, [0, 1], -2, 0              # A = -1: no alpha at all
+    yield 3, 2, [0, 3, 5], -1, 2           # A = 5 < 3N: no 3-face fits
+    yield 4, 1, [0, 1, 2, 3], 1, 2         # N = 1 with a cone at every size
+
+
+def test_filters_match_per_variable_and_per_vertex_references(monkeypatch):
+    # a divisibility table is read only where it is no wider than the faces
+    tables = []
+    divides = koszul._divides
+    monkeypatch.setattr(koszul, "_divides", lambda n, A, B: tables.append(B) or divides(n, A, B))
+    edges = {"past w": 0, "no alpha": 0, "no face": 0, "table": 0, "compare": 0}
+    for n, N, keep, a, s in _filter_cases():
+        E = monomial_array(n, N)[keep]
+        A, w = a + (s + 1) * N, len(keep)
+        fits = koszul._face_fits(E, A, s + 1)
+        ref = _face_fits_by_variable(E, monomial_array(n, A), s + 1)
+        case = (n, N, keep, a, s)
+        assert len(fits) == len(ref) == s + 2, case
+        for k, (got, expect) in enumerate(zip(fits, ref)):
+            assert got.dtype == bool and got.shape == expect.shape, case + (k,)
+            assert np.array_equal(got, expect), case + (k,)
+        for t, (got, expect) in enumerate(zip(koszul._cones(fits, w), _cones_by_vertex(ref, w))):
+            assert got.shape == expect.shape and np.array_equal(got, expect), case + (t,)
+        edges["past w"] += s + 1 > w
+        edges["no alpha"] += A < 0
+        edges["no face"] += 0 <= A < (s + 1) * N and not fits[-1].any()
+        for B in tables:
+            k = B // N
+            assert B <= A and dim_graded(n, B) <= math.comb(w, k), case + (k,)
+        edges["table"] += len(tables)
+        edges["compare"] += s + 2 - len(tables)
+        tables.clear()
+    assert all(edges.values()), edges
+
+
+def test_few_generators_of_high_face_degree_fit_the_default_budget():
+    # the pure powers x_i^3 of n = 5 variables at a = 20, s = 3: alpha runs
+    # over 58905 monomials of S^29 and the 4-faces reach degree 12, whose
+    # 1820 monomials would pass the budget as columns, but alpha is compared
+    # only with the C(5, k) face sums; the powers are a regular sequence, so
+    # the middle is exact
+    n, N, a, s = 5, 3, 20, 3
+    keep = np.flatnonzero(monomial_array(n, N).max(1) == N)
+    W = GradedSubspace.span_of_monomials(list(keep), n, P, N)
+    rep = middle_exactness(W, a, s)
+    assert rep.exact and rep.rank_in == rep.kernel_out == 47145, rep
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
+    # the scattered strand nonzeros are the boundary on each strand's fitting
+    # t-faces, less the spanning-forest rows at t = 3, and every core that
+    # `_reduced_rank` eliminates is a part of them, signs included
+    cores = []
+    monkeypatch.setattr(koszul, "rank_of_nonzeros",
+                        lambda r, c, v, q: cores.append((r, c, v)) or rank_of_nonzeros(r, c, v, q))
+
+    def check(fits, w, t, case):
+        rows, cols, signs = koszul._strand_nonzeros(fits, t)
+        height, strands = koszul._comb_count(w, t - 1), len(fits[t])
+        D = np.zeros((strands * height, int(fits[t].sum())), dtype=np.int8)
+        D[rows, cols] = signs
+        B = _boundary_matrix(w, t)
+        first = 0
+        for i, fit in enumerate(fits[t]):
+            expect = np.zeros((strands * height, int(fit.sum())), dtype=np.int8)
+            expect[i * height:(i + 1) * height] = B[:, fit]
+            if t == 3:
+                forest = koszul._forest(fits[2][[i]], w)[0]
+                # a spanning forest of the fitting edges: as many edges as
+                # the rank of the incidence matrix on them
+                assert not (forest & ~fits[2][i]).any(), f"{case}, strand {i}"
+                assert forest.sum() == rank_gfp(_boundary_matrix(w, 2)[:, fits[2][i]], p)
+                expect[i * height + np.flatnonzero(forest)] = 0
+            got = D[:, first:first + expect.shape[1]]
+            assert np.array_equal(got, expect), f"{case}, t {t}, strand {i}"
+            first += expect.shape[1]
+        cores.clear()
+        koszul._reduced_rank(fits[:t + 1], t, p)
+        for r, c, v in cores:
+            assert v.size and np.array_equal(D[r, c], v), f"{case}, t {t}: core signs"
+        return len(cores)
+
+    seed = 41
+    eliminated = 0
+    for n, N, keep, a, s in _cone_cases(np.random.default_rng(seed)):
+        W = GradedSubspace.span_of_monomials(keep, n, p, N)
+        E = monomial_array(n, N)[list(W.pivots)]
+        fits = koszul._face_fits(E, a + (s + 1) * N, s + 1)
+        cones = koszul._cones(fits, W.dim)
+        for t in range(2, s + 2):
+            rest = ~cones[t] & fits[t].any(1)
+            if rest.any():
+                eliminated += check([f[rest] for f in fits], W.dim, t,
+                                    f"seed {seed}, p {p}, n {n}, N {N}, keep {keep}, a {a}, s {s}")
+    for name, (w, facets) in COMPLEXES.items():
+        fits = _complex_fits(w, facets)
+        for t in range(2, len(fits)):
+            eliminated += check(fits, w, t, f"p {p}, {name}")
+    assert eliminated, f"seed {seed}, p {p}: no core was eliminated"
+
+
+def test_cones_peak_below_twice_the_largest_fits():
+    # the largest green-monomial cell, (n, N, codim) = (4, 3, 2), a = 4,
+    # s = 2: the boundary pairs are gathered a block of vertices at a time,
+    # so the cone test holds no temporary as large as two fits arrays
+    n, N, a, s = 4, 3, 4, 2
+    W = sample_bpf_subsystem(n, N, 2, P, np.random.default_rng(1000 * n + 10 * N + 2),
+                             style="monomial")
+    fits = koszul._face_fits(monomial_array(n, N)[list(W.pivots)], a + (s + 1) * N, s + 1)
+    expect = koszul._cones(fits, W.dim)  # fills the boundary caches
+    tracemalloc.start()
+    try:
+        cones = koszul._cones(fits, W.dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(c, e) for c, e in zip(cones, expect))
+    largest = max(f.nbytes for f in fits)
+    assert largest == fits[-1].nbytes == 560 * 816
+    assert peak < 2 * largest, (peak, largest)
 
 
 def test_defect_nonnegative():

@@ -5,7 +5,9 @@ Inputs may be any integer arrays that int64 holds.  An input whose entries
 already lie in [0, p) is read as it is; only one with an entry outside that
 range is reduced, into an int64 copy.  Elimination runs exactly in int64;
 only `matmul_gfp` uses float64, for BLAS, which is exact while p**2 < 2**53
-(the default modulus 65521 leaves ample headroom).
+(the default modulus 65521 leaves ample headroom); near that bound it
+splits its right factor into 14-bit limbs, so that each BLAS call still
+takes thousands of inner indices.
 
 `rank_gfp` first peels singletons off the nonzero pattern (structured
 Gaussian elimination, LaMacchia-Odlyzko 1990): the nonzero of a row or
@@ -150,6 +152,11 @@ def _renumber(ids: np.ndarray) -> tuple[np.ndarray, int]:
     seen[ids] = True
     number = np.cumsum(seen)
     return number[ids] - 1, int(number[-1])
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[t] .. starts[t] + counts[t] - 1."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def _peel(rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
@@ -303,8 +310,7 @@ def _pivot_round(r, c, v, shape, p, max_products):
     factors = v[down] * _inverses(v[piv], p)[k] % p
     each = counts[k]
     src = np.repeat(np.arange(down.size), each)
-    at = across[np.repeat(starts[k] - (np.cumsum(each) - each), each)
-                + np.arange(each.sum())]
+    at = across[_runs(starts[k], each)]
     rest = np.flatnonzero((a < 0) & (b < 0))
     keys = np.concatenate((r[rest] * shape[1] + c[rest],
                            r[down][src] * shape[1] + c[at]))
@@ -416,15 +422,34 @@ def kernel_of_rref(R: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]
     return rref_gfp(V, p)
 
 
-def matmul_gfp(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact A @ B mod p via float64 BLAS, chunking the inner dimension."""
-    Af = _residues(A, p).astype(np.float64)
-    Bf = _residues(B, p).astype(np.float64)
-    inner = Af.shape[1]
-    if inner != Bf.shape[0]:
-        raise ValueError("shape mismatch")
-    chunk = max(1, _F64_EXACT // (p * p) - 1)
+def _chunked_matmul(Af: np.ndarray, Bf: np.ndarray, p: int, top: int) -> np.ndarray:
+    """Exact Af @ Bf mod p for float64 Af with entries below p and Bf with
+    entries at most `top`: the inner dimension is cut into chunks whose
+    sums of products stay below 2**53."""
+    chunk = max(1, (_F64_EXACT - 1) // ((p - 1) * max(top, 1)))
     out = np.zeros((Af.shape[0], Bf.shape[1]), dtype=np.int64)
-    for lo in range(0, inner, chunk):
+    for lo in range(0, Af.shape[1], chunk):
         out = (out + (Af[:, lo:lo + chunk] @ Bf[lo:lo + chunk]).astype(np.int64)) % p
     return out
+
+
+# B's limbs, when p**2 is too close to 2**53 for a useful chunk
+_LIMB = 2**14
+
+
+def matmul_gfp(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """Exact A @ B mod p via float64 BLAS, chunking the inner dimension.
+
+    Near p**2 = 2**53 a chunk would hold a single inner index, one BLAS
+    call per index; there B is split into limbs, B = hi * 2**14 + lo, and
+    the two products, whose entries are far smaller, take long chunks."""
+    Af = _residues(A, p).astype(np.float64)
+    B = _residues(B, p)
+    if Af.shape[1] != B.shape[0]:
+        raise ValueError("shape mismatch")
+    if (_F64_EXACT - 1) // ((p - 1) ** 2) >= _LIMB:
+        return _chunked_matmul(Af, B.astype(np.float64), p, p - 1)
+    hi, lo = (x.astype(np.float64) for x in np.divmod(B, _LIMB))
+    out = _chunked_matmul(Af, hi, p, (p - 1) // _LIMB) * _LIMB
+    out += _chunked_matmul(Af, lo, p, _LIMB - 1)
+    return out % p

@@ -7,13 +7,19 @@ coordinates.  No module builds multiplication matrices: the products of
 one form with monomials are a gather through the cached
 `product_index_table` (`multiple_columns`), the product rows of two
 subspaces are one gather of their basis nonzeros through it, and
-multiplying by x_i moves a coefficient along one column of it.  A product
-span proves fullness by a rank (whose singleton peel takes every row of a
-monomial system) and takes an RREF only of rows that fall short;
-`bpf_check` needs only the rank.  The annihilator of a subspace is the
-kernel of its RREF basis, read off it by `kernel_of_rref`, and the colon
-[K : S^1] is a kernel too: that of the annihilator of K moved along each
-x_i, read off the RREF of those rows."""
+multiplying by x_i moves a coefficient along one column of it.
+
+Whether a product span is all of S^m is decided from leading terms:
+graded-lex is a monomial order, so LT(fg) = LT(f) LT(g) (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 2), and the products of two
+RREF bases lead at the products of their pivots.  One product per
+leading monomial forms an echelon block, and the span is full iff the
+Schur complement on the monomials that block misses has full rank
+(`_spans_all`).  `product_span` forms every product row, and their RREF,
+only for a span that falls short; `bpf_check` never does.  The
+annihilator of a subspace is the kernel of its RREF basis, read off it by
+`kernel_of_rref`, and the colon [K : S^1] is a kernel too: that of the
+annihilator of K moved along each x_i, read off the RREF of those rows."""
 
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modp import (
+    _runs,
     check_budget,
     kernel_of_rref,
     matmul_gfp,
@@ -171,65 +178,158 @@ def multiple_columns(g: np.ndarray, n: int, b: int, a: int,
     return T[:, terms], g[terms]
 
 
-def _product_rows(A: GradedSubspace, B: GradedSubspace) -> np.ndarray:
-    """Dense rows, mod p, of all pairwise products of basis elements: a_i b_j
-    in row j dim A + i, or for a square (`A is B`) each unordered pair
-    i <= j once, in row j (j + 1) / 2 + i.
-
-    The rows are one gather through the product table T: the nonzeros
-    a_i[u] and b_j[v] add a_i[u] b_j[v] at column T[u, v] of their row, and
-    terms that cancel mod p vanish.  B's nonzeros are taken cells // nnz(A)
-    at a time, so that no block holds more products than the rows have
-    cells; nnz(A) <= dim A dim S^a is at most the cells, so a block holds
-    at least one."""
+def _product_dim(A: GradedSubspace, B: GradedSubspace) -> int:
+    """dim S^(a+b), once A and B are known to share n and p and their
+    dim A * dim B product rows to fit the cell budget."""
     if (A.n, A.p) != (B.n, B.p):
         raise ValueError("mixed variable count or modulus")
-    n, p = A.n, A.p
-    D = dim_graded(n, A.degree + B.degree)
+    D = dim_graded(A.n, A.degree + B.degree)
     check_budget(A.dim * B.dim, D)
-    square = A is B
-    rows = np.zeros((A.dim * (A.dim + 1) // 2 if square else A.dim * B.dim, D),
-                    dtype=np.int64)
+    return D
+
+
+def _product_rows(A: GradedSubspace, B: GradedSubspace,
+                  pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Dense rows, mod p, of pairwise products of basis elements: a_i b_j
+    in row j dim A + i, or for a square (`A is B`) each unordered pair
+    i <= j once, in row j (j + 1) / 2 + i; given `pairs` = (i, j), index
+    arrays, the product a_(i[k]) b_(j[k]) in row k.
+
+    The rows are one gather through the product table T: the nonzeros
+    a_i[u] and b_j[v] of a listed pair add a_i[u] b_j[v] at column T[u, v]
+    of its row, and terms that cancel mod p vanish.  B's nonzeros are taken
+    cells // nnz(A) at a time, so that no block holds more products than
+    the rows have cells; nnz(A) <= dim A dim S^a is at most the cells, so
+    a block holds at least one."""
+    n, p, D = A.n, A.p, _product_dim(A, B)
+    if pairs is None:
+        if A is B:
+            j, i = np.tril_indices(A.dim)
+        else:
+            j, i = np.divmod(np.arange(A.dim * B.dim), A.dim)
+        pairs = i, j
+    row_of = np.full((A.dim, B.dim), -1)  # the row of each listed pair
+    row_of[pairs] = np.arange(len(pairs[0]))
+    every = len(pairs[0]) == row_of.size
+    rows = np.zeros((len(pairs[0]), D), dtype=np.int64)
     if not rows.size:
         return rows
     T = product_index_table(n, A.degree, B.degree)
     i, u = (x[:, None] for x in np.nonzero(A.basis))
     j, v = np.nonzero(B.basis)
     a_vals, b_vals = A.basis[i, u], B.basis[j, v]
-    first = j * (j + 1) // 2 if square else j * A.dim  # the row of a_0 b_j
     flat = rows.reshape(-1)
     step = max(1, rows.size // i.size)
     for lo in range(0, j.size, step):
         s = slice(lo, lo + step)
-        at = first[s] + i
+        at = row_of[i, j[s]]
+        keep = None if every else at >= 0
         at *= D
         at += T[u, v[s]]
         vals = a_vals * b_vals[s]
         vals %= p
-        if square:
-            keep = i <= j[s]
+        if keep is not None:
             at, vals = at[keep], vals[keep]
         np.add.at(flat, at, vals)
         del at, vals  # free this block before the next is built
     return np.remainder(rows, p, out=rows)
 
 
-def _spans_all(rows: np.ndarray, p: int) -> bool:
-    """True when the rows span every column; fewer rows than columns cannot."""
-    return len(rows) >= rows.shape[1] and rank_gfp(rows, p) == rows.shape[1]
+def _echelon_annihilator(E: np.ndarray, lead: np.ndarray, p: int) -> np.ndarray:
+    """The functionals vanishing on the rows of E, where row k is 1 at
+    column lead[k] and zero left of it: one row psi_u per column u that no
+    row leads at, 1 at u and 0 at the other such columns.
+
+    psi_u(e_k) = 0 gives psi_u[lead[k]] = -sum of e_k[c] psi_u[c] over the
+    other nonzeros c of e_k, so row k waits for the rows leading at those
+    c.  Back-substitution solves every row once, in levels: a level is the
+    rows whose waits are over, solved together, and each solved row
+    releases the rows waiting for it."""
+    C, D = E.shape
+    free = np.ones(D, dtype=bool)
+    free[lead] = False
+    free = np.flatnonzero(free)
+    psi = np.zeros((free.size, D), dtype=np.int64)
+    psi[np.arange(free.size), free] = 1
+    row_of = np.full(D, -1)
+    row_of[lead] = np.arange(C)
+    k, c = np.divmod(np.flatnonzero(E), D)
+    vals = E[k, c]
+    row_start = np.searchsorted(k, np.arange(C + 1))
+    waits_for = row_of[c]
+    wait = (waits_for >= 0) & (waits_for != k)
+    waiter, waits_for = k[wait], waits_for[wait]
+    pending = np.bincount(waiter, minlength=C)
+    # the waiters grouped by the row they wait for
+    order = np.argsort(waits_for, kind="stable")
+    waiter = waiter[order]
+    starts = np.searchsorted(waits_for[order], np.arange(C + 1))
+    level = np.flatnonzero(pending == 0)
+    while level.size:
+        # psi is still 0 at these rows' leads and solved at their other
+        # nonzeros, so the sum over all of a row's nonzeros omits the lead
+        counts = row_start[level + 1] - row_start[level]
+        at = _runs(row_start[level], counts)
+        terms = psi[:, c[at]] * vals[at] % p
+        sums = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=1)
+        psi[:, lead[level]] = -sums % p
+        released = waiter[_runs(starts[level], starts[level + 1] - starts[level])]
+        freed = np.bincount(released, minlength=C)
+        pending -= freed
+        level = np.flatnonzero((pending == 0) & (freed > 0))
+    return psi
+
+
+def _spans_all(A: GradedSubspace, B: GradedSubspace) -> bool:
+    """True when the products a_i b_j span all of S^(a+b), decided from
+    the leading terms of the two RREF bases.
+
+    Graded-lex is lex within a degree, a monomial order, so LT(fg) =
+    LT(f) LT(g): a_i b_j is 1 at T[pivot_i, pivot_j] and zero left of it.
+    One product per distinct leading monomial is an echelon block E of
+    rank |C|, C its leads, so the span is full iff the functionals psi_u
+    vanishing on E, one per monomial u in the rest U, stay independent on
+    the products: iff the Schur complement psi_u(a_i b_j) =
+    a_i . psi_u[T] . b_j has rank |U|.  Fewer products than monomials
+    cannot span."""
+    n, p, D = A.n, A.p, _product_dim(A, B)
+    if (A.dim * (A.dim + 1) // 2 if A is B else A.dim * B.dim) < D:
+        return False
+    T = product_index_table(n, A.degree, B.degree)
+    lead, first = np.unique(T[np.ix_(A.pivots, B.pivots)], return_index=True)
+    if lead.size == D:
+        return True
+    psi = _echelon_annihilator(_product_rows(A, B, np.divmod(first, B.dim)), lead, p)
+    # psi_u(a_i b_j) over the columns where A and B have nonzeros, a block
+    # of functionals at a time: its gather of psi, and the float copy that
+    # matmul_gfp makes of it, each hold at most a quarter of the product
+    # rows' cells
+    at, bt = (np.flatnonzero(X.basis.any(axis=0)) for X in (A, B))
+    Ta = T[np.ix_(at, bt)]
+    step = max(1, A.dim * B.dim * D // (4 * Ta.size))
+    blocks = []
+    for lo in range(0, len(psi), step):
+        X = psi[lo:lo + step, Ta]  # (functional, column of A, column of B)
+        Y = matmul_gfp(X.reshape(-1, bt.size), B.basis[:, bt].T, p)
+        Y = Y.reshape(len(X), at.size, B.dim).transpose(1, 0, 2)
+        blocks.append(matmul_gfp(A.basis[:, at], Y.reshape(at.size, -1), p)
+                      .reshape(A.dim, len(X), B.dim))
+    schur = np.concatenate(blocks, axis=1).transpose(1, 0, 2).reshape(len(psi), -1)
+    return rank_gfp(schur, p) == len(psi)
 
 
 def product_span(A: GradedSubspace, B: GradedSubspace) -> GradedSubspace:
     """Row-reduced span of all pairwise products of basis elements.
 
-    Squaring a space (`A is B`) forms each unordered pair g_i * g_j once,
-    i <= j: dim A (dim A + 1) / 2 rows instead of (dim A)^2.  Rows of full
-    rank are proven so by a rank, and their RREF is the identity."""
-    rows = _product_rows(A, B)
+    A full span is decided by `_spans_all` from the leading terms of A and
+    B and a Schur complement on the monomials they miss, without forming
+    every product, and its RREF is the identity.  Only a span short of
+    S^(a+b) forms all its product rows, each unordered pair g_i * g_j of a
+    square (`A is B`) once, and takes their RREF."""
     n, p, deg = A.n, A.p, A.degree + B.degree
-    if _spans_all(rows, p):
+    if _spans_all(A, B):
         return GradedSubspace.full(n, p, deg)
-    return GradedSubspace.from_rows(rows, n, p, deg)
+    return GradedSubspace.from_rows(_product_rows(A, B), n, p, deg)
 
 
 def annihilator(A: GradedSubspace) -> np.ndarray:
@@ -271,9 +371,12 @@ def bpf_default_mmax(n: int, N: int) -> int:
 
 def bpf_check(W: GradedSubspace, m_max: int | None = None, *,
               m_min: int = 0) -> BpfResult:
-    """Verified(m) for the least m <= m_max with S^(m-N) * W = S^m.  A W
-    short of S^N is tried from degree N + 1, or from m_min if larger: a
-    caller that knows the degrees below m_min fail spares their ranks."""
+    """Verified(m) for the least m <= m_max with S^(m-N) * W = S^m, each
+    degree decided by `_spans_all` from the leading terms of W (the
+    monomials of S^(m-N) lead at themselves) and a Schur complement on the
+    monomials they miss.  A W short of S^N is tried from degree N + 1, or
+    from m_min if larger: a caller that knows the degrees below m_min fail
+    spares their tests."""
     N = W.degree
     n, p = W.n, W.p
     if W.dim == 0:
@@ -285,6 +388,6 @@ def bpf_check(W: GradedSubspace, m_max: int | None = None, *,
     if W.is_full():  # S^0 * W = W
         return BpfResult(True, N)
     for m in range(max(m_min, N + 1), m_max + 1):
-        if _spans_all(_product_rows(GradedSubspace.full(n, p, m - N), W), p):
+        if _spans_all(GradedSubspace.full(n, p, m - N), W):
             return BpfResult(True, m)
     return BpfResult(False)

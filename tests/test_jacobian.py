@@ -394,7 +394,7 @@ def _products(g, a, k):
 
 
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
-def test_jacobian_nonzeros_match_multiplication_matrices(p):
+def test_jacobian_nonzeros_match_polynomial_products(p):
     # the assembler against the multiplication matrices of the partials,
     # built from Polynomial products, one partial at a time: every row of
     # J^k, and Macaulay's square subset at sigma+1 (the multiples q with

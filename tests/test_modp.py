@@ -621,6 +621,19 @@ def test_matmul_chunked_large_modulus():
     assert np.array_equal(matmul_gfp(A, B, q), expected.astype(np.int64))
 
 
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_matmul_long_inner_dimension_is_exact(p):
+    # 600 inner indices are one chunk at P; at P_MAX B goes in 14-bit
+    # limbs, and entries p - 1 are the largest sums either chunk can take
+    rng = np.random.default_rng(26)
+    A = rng.integers(0, p, size=(5, 600), dtype=np.int64)
+    B = rng.integers(0, p, size=(600, 4), dtype=np.int64)
+    A[0], B[:, 0] = p - 1, p - 1
+    B[:, 1] = 2**14 - 1  # every low limb at its largest
+    expected = (A.astype(object) @ B.astype(object)) % p
+    assert matmul_gfp(A, B, p).tolist() == expected.tolist(), p
+
+
 def test_budget_guard(monkeypatch):
     check_budget(100, 100)
     with pytest.raises(SizeBudgetError):

@@ -243,6 +243,127 @@ def test_product_rows_memory_is_bounded_by_the_rows():
         assert peak <= 6 * rows.nbytes, (A is B, peak / rows.nbytes)
 
 
+def _leads(A, B):
+    """The distinct leading monomials T[pivot_i, pivot_j] of the products."""
+    T = product_index_table(A.n, A.degree, B.degree)
+    return np.unique(T[np.ix_(A.pivots, B.pivots)])
+
+
+def _span_cases(p, rng):
+    """Pairs (A, B) whose product span is decided both ways, most of them
+    with monomials that no leading term covers."""
+    from jacring.yukawa import random_hyperplane_over_jacobian
+
+    cases = []
+    for _ in range(6):  # random pairs, square and not
+        n = int(rng.integers(2, 5))
+        da, db = (int(x) for x in rng.integers(1, 4, size=2))
+        A = random_subspace(n, p, da, int(rng.integers(1, dim_graded(n, da) + 1)), rng)
+        B = random_subspace(n, p, db, int(rng.integers(1, dim_graded(n, db) + 1)), rng)
+        cases += [(A, B), (A, A)]
+    for n, N in ((3, 2), (4, 3), (2, 4)):  # S^j x W, W short of S^N
+        W = random_subspace(n, p, N, dim_graded(n, N) - int(rng.integers(1, 3)), rng)
+        cases += [(GradedSubspace.full(n, p, j), W) for j in range(4)]
+    for seed in range(2):  # the chain's hyperplanes K containing J^N, N = 4
+        ring = random_smooth(2, 4, p, np.random.default_rng(seed))
+        K = random_hyperplane_over_jacobian(ring, np.random.default_rng(seed))
+        Kp = colon_by_linear_forms(K)
+        cases += [(K, K), (GradedSubspace.full(4, p, 1), Kp),
+                  (GradedSubspace.full(4, p, 2), Kp)]
+    for d, N in ((1, 3), (2, 4)):  # J^N at every degree up to sigma + 1
+        ring = random_smooth(d, N, p, np.random.default_rng(d))
+        J = ring.jacobian_piece(N)
+        sigma = ring.X.socle_degree
+        cases += [(GradedSubspace.full(J.n, p, m - N), J) for m in range(N, sigma + 2)]
+        cases.append((J, J))
+    for n, deg, count in ((3, 2, 4), (4, 2, 7), (3, 3, 6)):  # monomial spans
+        picks = rng.choice(dim_graded(n, deg), size=count, replace=False)
+        M = GradedSubspace.span_of_monomials(picks, n, p, deg)
+        cases += [(M, M), (GradedSubspace.full(n, p, 2), M)]
+    S2 = GradedSubspace.full(3, p, 2)
+    cases += [
+        (GradedSubspace.zero(3, p, 2), S2), (S2, GradedSubspace.zero(3, p, 1)),
+        (random_subspace(3, p, 2, 2, rng), random_subspace(3, p, 2, 3, rng)),  # 6 < 15 pairs
+        (S2, S2), (GradedSubspace.full(4, p, 1), GradedSubspace.full(4, p, 3)),  # no U
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_spans_all_matches_product_row_rank(p):
+    # the leading-term test against the rank of every product row
+    seen = set()
+    for A, B in _span_cases(p, np.random.default_rng(26)):
+        D = dim_graded(A.n, A.degree + B.degree)
+        want = rank_gfp(_product_rows(A, B), p) == D
+        assert spaces._spans_all(A, B) == want, (p, A, B)
+        pairs = A.dim * (A.dim + 1) // 2 if A is B else A.dim * B.dim
+        seen.add((want, "few pairs" if pairs < D
+                  else "no U" if len(_leads(A, B)) == D else "U"))
+    assert seen == {(False, "few pairs"), (True, "no U"), (True, "U"), (False, "U")}, seen
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_echelon_annihilator_vanishes_on_the_block(p):
+    # psi is the identity on the monomials no product leads at and kills
+    # every row of the echelon block, whatever the chain of waits
+    levels = []
+    for A, B in _span_cases(p, np.random.default_rng(27)):
+        lead, first = np.unique(
+            product_index_table(A.n, A.degree, B.degree)[np.ix_(A.pivots, B.pivots)],
+            return_index=True)
+        if not lead.size:
+            continue
+        E = _product_rows(A, B, np.divmod(first, B.dim))
+        assert (E[np.arange(lead.size), lead] == 1).all()
+        assert not (np.arange(E.shape[1]) < lead[:, None])[E != 0].any()
+        psi = spaces._echelon_annihilator(E, lead, p)
+        free = np.setdiff1d(np.arange(E.shape[1]), lead)
+        assert np.array_equal(psi[:, free], np.eye(free.size, dtype=np.int64)), (p, A, B)
+        assert not matmul_gfp(psi, E.T, p).any(), (p, A, B)
+        # the longest chain of waits: row k waits for the rows leading at
+        # its other nonzeros, all of which lead further right
+        depth = np.zeros(E.shape[1], dtype=int)
+        for k in np.argsort(-lead):
+            waits = np.intersect1d(np.flatnonzero(E[k]), lead)
+            depth[lead[k]] = 1 + max((depth[c] for c in waits if c != lead[k]), default=0)
+        levels.append(depth.max())
+    assert max(levels) >= 4, levels
+
+
+def _assert_rref(S):
+    piv = np.asarray(S.pivots, dtype=int)
+    assert (np.diff(piv) > 0).all(), S
+    assert (S.basis[np.arange(S.dim), piv] == 1).all(), S
+    assert not S.basis[np.arange(S.basis.shape[1]) < piv[:, None]].any(), S
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_every_producer_returns_rref_pivots(p):
+    # the leading-term test of a product span reads a_i's leading monomial
+    # off its pivot: strictly increasing pivots, a 1 there, zeros left of it
+    from jacring.yukawa import _kernel_of_functional, random_hyperplane_over_jacobian
+
+    rng = np.random.default_rng(28)
+    A, B = random_subspace(3, p, 2, 3, rng), random_subspace(3, p, 2, 4, rng)
+    ring = random_smooth(2, 4, p, np.random.default_rng(3))
+    K = random_hyperplane_over_jacobian(ring, rng)
+    u = rng.integers(0, p, size=dim_graded(3, 3))
+    u[-2:] = 0, 1
+    made = [
+        GradedSubspace.from_rows(rng.integers(0, p, size=(5, 10)), 3, p, 3),
+        GradedSubspace.from_rows(np.zeros((2, 10), dtype=np.int64), 3, p, 3),
+        GradedSubspace.full(3, p, 2), GradedSubspace.zero(3, p, 2),
+        GradedSubspace.span_of_monomials([5, 0, 3], 3, p, 2),
+        subspace_sum(A, B), subspace_intersection(A, B),
+        ring.jacobian_piece(4), JacobianRing(fermat(1, 3, p)).jacobian_piece(3),
+        colon_by_linear_forms(K), K, _kernel_of_functional(u, 3, p, 3),
+        product_span(A, B), product_span(K, K), product_span(A, A),
+    ]
+    for S in made:
+        _assert_rref(S)
+
+
 def test_product_span_symmetric_and_monotone():
     rng = np.random.default_rng(14)
     A = random_subspace(3, P, 2, 3, rng)
@@ -349,20 +470,20 @@ def test_bpf_check():
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
 def test_bpf_check_from_m_min(monkeypatch, p):
     # S^(m-N) W = S^m implies the same one degree up, so a check from
-    # m_min reports the later of m_min and the least degree, and forms no
-    # product rows below m_min
+    # m_min reports the later of m_min and the least degree, and decides no
+    # span below m_min
     rng = np.random.default_rng(22)
     short = GradedSubspace.from_polynomials([parse_polynomial("x0^2", 3, p)], 2)
     cases = [random_subspace(n, p, N, dim_graded(n, N) - 1, rng)
              for n, N in ((3, 2), (4, 3), (2, 3))] + [short]
     degrees = []
-    product_rows = spaces._product_rows
+    spans_all = spaces._spans_all
 
     def spy(A, B):
         degrees.append(A.degree + B.degree)
-        return product_rows(A, B)
+        return spans_all(A, B)
 
-    monkeypatch.setattr(spaces, "_product_rows", spy)
+    monkeypatch.setattr(spaces, "_spans_all", spy)
     verified = []
     for W in cases:
         N, m_max = W.degree, bpf_default_mmax(W.n, W.degree)

@@ -175,13 +175,13 @@ def test_colon_bpf_starts_past_degree_n(monkeypatch, p):
     # S^1 K' lies in K, a hyperplane of S^N, so the check of degree N can
     # only fail: starting at N + 1 gives the same result without its rank
     degrees = []
-    product_rows = spaces._product_rows
+    spans_all = spaces._spans_all
 
     def spy(A, B):
         degrees.append(A.degree + B.degree)
-        return product_rows(A, B)
+        return spans_all(A, B)
 
-    monkeypatch.setattr(spaces, "_product_rows", spy)
+    monkeypatch.setattr(spaces, "_spans_all", spy)
     for seed in range(3):
         ring, K = _chain_case(p, seed)
         N = ring.X.N

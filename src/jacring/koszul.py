@@ -300,34 +300,32 @@ def _forest(edge_fits: np.ndarray, w: int) -> np.ndarray:
     """forest[alpha, e]: the e-th edge (as in `_faces(w, 2)`) lies in one
     spanning forest of the fitting edges of Delta_alpha.
 
-    Every vertex starts with its own label and takes the least label of its
-    neighbours until no label falls, so each component ends on its least
-    vertex.  A vertex keeps the edge to the neighbour it last took its label
-    from.  That neighbour held the label a round earlier, so following the
-    kept edges strictly lowers the round in which a vertex reached its final
-    label: they close no cycle, and every vertex but the least of each
-    component keeps one."""
-    m = len(edge_fits)
-    check_budget(m, w * w)
-    ends = _faces(w, 2)
-    index = np.zeros((w, w), dtype=np.int64)
-    index[ends[:, 0], ends[:, 1]] = index[ends[:, 1], ends[:, 0]] = np.arange(len(ends))
-    adjacent = np.zeros((m, w, w), dtype=bool)
-    adjacent[:, ends[:, 0], ends[:, 1]] = adjacent[:, ends[:, 1], ends[:, 0]] = edge_fits
-    label = np.tile(np.arange(w), (m, 1))
-    parent = np.full((m, w), -1)
+    Every vertex starts with its own label.  Each round, every fitting edge
+    e offers the label of each end to the other as the key label*E + e,
+    for E edges in all, and a vertex takes the least key offered, so the
+    least label and the least edge carrying it, until no label falls; each
+    component ends on its least vertex.  A vertex keeps the edge it last
+    took its label through.  The other end held the label a round earlier,
+    so following the kept edges strictly lowers the round in which a vertex
+    reached its final label: they close no cycle, and every vertex but the
+    least of each component keeps one.  Only the fitting edges are read."""
+    m, E = edge_fits.shape
+    strand, edge = np.nonzero(edge_fits)
+    ends = _faces(w, 2)[edge] + strand[:, None] * w  # vertex v of strand i is i*w + v
+    giver, taker, edge = ends.ravel(), ends[:, ::-1].ravel(), np.repeat(edge, 2)
+    label = np.tile(np.arange(w), m)
+    kept = np.full(m * w, -1)
     while True:
-        offered = np.where(adjacent, label[:, None, :], w)
-        via = offered.argmin(-1)
-        least = np.take_along_axis(offered, via[..., None], -1)[..., 0]
-        falls = least < label
+        key = label * E
+        np.minimum.at(key, taker, label[giver] * E + edge)
+        falls = key < label * E
         if not falls.any():
             break
-        label = np.where(falls, least, label)
-        parent = np.where(falls, via, parent)
+        label = np.where(falls, key // E, label)
+        kept = np.where(falls, key % E, kept)
     forest = np.zeros(edge_fits.shape, dtype=bool)
-    alpha, v = np.nonzero(parent >= 0)
-    forest[alpha, index[v, parent[alpha, v]]] = True
+    v = np.flatnonzero(kept >= 0)
+    forest[v // w, kept[v]] = True
     return forest
 
 

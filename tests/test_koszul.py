@@ -411,10 +411,13 @@ def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
             expect[i * height:(i + 1) * height] = B[:, fit]
             if t == 3:
                 forest = koszul._forest(fits[2][[i]], w)[0]
-                # a spanning forest of the fitting edges: as many edges as
-                # the rank of the incidence matrix on them
+                # a spanning forest of the fitting edges: independent
+                # fitting edges, as many as the rank of the incidence
+                # matrix on all of them
+                d2 = _boundary_matrix(w, 2)
                 assert not (forest & ~fits[2][i]).any(), f"{case}, strand {i}"
-                assert forest.sum() == rank_gfp(_boundary_matrix(w, 2)[:, fits[2][i]], p)
+                assert rank_gfp(d2[:, forest], p) == forest.sum(), f"{case}, strand {i}"
+                assert forest.sum() == rank_gfp(d2[:, fits[2][i]], p)
                 expect[i * height + np.flatnonzero(forest)] = 0
             got = D[:, first:first + expect.shape[1]]
             assert np.array_equal(got, expect), f"{case}, t {t}, strand {i}"
@@ -442,6 +445,30 @@ def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
         for t in range(2, len(fits)):
             eliminated += check(fits, w, t, f"p {p}, {name}")
     assert eliminated, f"seed {seed}, p {p}: no core was eliminated"
+
+
+def test_forest_reads_only_the_fitting_edges():
+    # 64 strands, each a Hamiltonian path on w = 60 vertices: a path is its
+    # own spanning forest, and in strand 0, whose path runs 0, 1, ..., 59,
+    # the least label takes 59 rounds to reach the far end.  The scratch is
+    # linear in the 3776 fitting edges, well below one int64 per vertex pair
+    m, w = 64, 60
+    rng = np.random.default_rng(29)
+    index = {T: e for e, T in enumerate(itertools.combinations(range(w), 2))}
+    edge_fits = np.zeros((m, len(index)), dtype=bool)
+    for i in range(m):
+        path = np.arange(w) if i == 0 else rng.permutation(w)
+        edge_fits[i, [index[tuple(sorted(e))] for e in zip(path[:-1], path[1:])]] = True
+    assert edge_fits.sum() == m * (w - 1) == 3776
+    koszul._forest(edge_fits[:1], w)  # fills the face cache
+    tracemalloc.start()
+    try:
+        forest = koszul._forest(edge_fits, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(forest, edge_fits)
+    assert peak < m * w * w * 8, peak
 
 
 def test_cones_peak_below_twice_the_largest_fits():

@@ -427,6 +427,38 @@ def test_colon_brute_force_and_monotone():
                 assert K1.contains(GradedSubspace.from_rows(prod.to_vector(m), n, P, m))
 
 
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_colon_matches_brute_force_kernel(p):
+    # [K : S^1] is the kernel of the stacked maps g -> ann(K) (x_i g), here
+    # with x_i g formed as a Polynomial product of each monomial g of
+    # S^(m-1); the colon must lie in that kernel and have its dimension
+    from jacring.polynomials import monomial_exponents
+    from jacring.yukawa import random_hyperplane_over_jacobian
+
+    rng = np.random.default_rng(18)
+    cases = []
+    for n in range(2, 5):
+        for m in range(1, 5):
+            D = dim_graded(n, m)
+            cases += [GradedSubspace.zero(n, p, m), GradedSubspace.full(n, p, m)]
+            cases += [random_subspace(n, p, m, D - c, rng) for c in range(1, D)]
+    ring = random_smooth(2, 4, p, np.random.default_rng(5))
+    cases.append(random_hyperplane_over_jacobian(ring, rng))  # K contains J^4
+    for K in cases:
+        n, m = K.n, K.degree
+        ann = annihilator(K)
+        assert ann.shape[0] == K.codim and not matmul_gfp(ann, K.basis.T, p).any()
+        gs = [Polynomial.monomial(e, p) for e in monomial_exponents(n, m - 1)]
+        maps = np.vstack([
+            matmul_gfp(ann, np.array([(Polynomial.variable(i, n, p) * g).to_vector(m)
+                                      for g in gs]).T, p)
+            for i in range(n)])
+        C = colon_by_linear_forms(K)
+        case = (p, n, m, K.dim)
+        assert C.degree == m - 1 and not matmul_gfp(maps, C.basis.T, p).any(), case
+        assert C.dim == len(gs) - rank_gfp(maps, p), case
+
+
 def test_annihilator():
     rng = np.random.default_rng(16)
     A = random_subspace(3, P, 2, 2, rng)

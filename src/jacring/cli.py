@@ -402,6 +402,8 @@ def main(argv=None) -> int:
         cell_budget()  # reject a malformed JACRING_CELL_BUDGET before any work
         p = validate_prime(_env_int("JACRING_PRIME", DEFAULT_PRIME)
                            if args.prime is None else args.prime)
+        if args.seed < 0:  # numpy's own refusal would not name the flag
+            raise CliError(f"--seed must be >= 0, got {args.seed}", EXIT_USAGE)
         return handler(args, p, np.random.default_rng(args.seed))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -24,8 +24,9 @@ Two evaluation paths compute the same defect:
   strand without a cone point may still be exact.
 
   Both filters that run before any strand is reduced are gathers over all
-  alpha at once.  A k-face's exponents sum to a monomial of S^(kN), so
-  whether it fits in Delta_alpha is read off a table of divisibility
+  alpha at once.  A k-face's exponents sum to a monomial of S^(kN), ranked
+  from its (k-1)-face's by one product table where that table is small,
+  so whether it fits in Delta_alpha is read off a table of divisibility
   between S^(a+(s+1)N) and S^(kN), cached by degrees alone, where that
   table is no wider than the k-faces; otherwise alpha is compared with
   each distinct face sum.  The cone test groups the boundary nonzeros
@@ -49,8 +50,13 @@ Two evaluation paths compute the same defect:
     peeling usually empties the strand.  It cannot empty the triangles
     of an acyclic 2-complex that is not collapsible, such as the dunce hat,
     since a full matching would be a discrete gradient with one critical
-    vertex.  Only what is left, the core, is eliminated, one strand at a
-    time: the core keeps the order of the nonzeros, grouped by strand.
+    vertex.  Only what is left, the core, is eliminated.  It is block
+    diagonal, one block per strand, so its rank is the sum of theirs.
+    Consecutive blocks are ranked in one call while, scattered whole, they
+    are no larger than one strand's boundary, the most that ranking a
+    strand alone could scatter.  At t = 3 a batch's core mostly takes one
+    or two calls; above t = 3 no rows are deleted yet, so a block is
+    nearly its whole strand and shares a call with few others.
 
 Both paths take their signs from one simplex boundary, `_simplex_boundary`.
 """
@@ -66,7 +72,7 @@ import numpy as np
 
 from .jacobian import JacobianRing
 from .modp import _peel, check_budget, rank_gfp, rank_of_nonzeros
-from .polynomials import dim_graded, monomial_array, monomial_rank
+from .polynomials import dim_graded, monomial_array, monomial_rank, product_index_table
 from .spaces import GradedSubspace, bpf_check, multiple_columns
 
 
@@ -224,28 +230,38 @@ def _face_fits(E: np.ndarray, A: int, top: int) -> list[np.ndarray]:
     (as in `_faces`) of the generators with exponent rows E, all of one
     degree N, fits, i.e. its exponents sum to at most alpha.
 
-    That sum is a monomial of S^(kN).  Where S^(kN) has no more monomials
-    than there are k-faces, fits[k] is a column gather from `_divides`,
-    which is then no larger than fits[k] and is cached by degrees alone.
-    Otherwise alpha is compared, one variable at a time, with each distinct
-    face sum once.  The empty face always fits."""
+    That sum is a monomial of S^(kN).  Where `product_index_table(n,
+    (k-1)N, N)` is no larger than fits[k], nor than the exponent rows of
+    the k-faces, it ranks the sum in one gather: the sum of the (k-1)-face
+    without the last vertex (the boundary entry that drops it) times that
+    vertex.  Otherwise the face sums are built and ranked.  Where S^(kN)
+    has no more monomials than there are k-faces, fits[k] is a column
+    gather from `_divides`, which is then no larger than fits[k] and is
+    cached by degrees alone.  Otherwise alpha is compared, one variable at
+    a time, with each distinct face sum once.  The empty face always fits."""
     (w, n), N = E.shape, int(E[0].sum())
     alphas = monomial_array(n, A)
+    vertex = monomial_rank(E)
     fits = []
     for k in range(top + 1):
         faces = _comb_count(w, k)
         check_budget(len(alphas), faces)
-        sums = E[_faces(w, k)].sum(1)
-        at = monomial_rank(sums)
+        shape = dim_graded(n, (k - 1) * N), dim_graded(n, N)
+        if k and shape[0] * shape[1] <= faces * min(len(alphas), k * n):
+            check_budget(*shape)
+            tgt, _, j, _ = _simplex_boundary(w, k)
+            at = product_index_table(n, (k - 1) * N, N)[at[tgt[k - 1::k]], vertex[j[k - 1::k]]]
+        else:
+            at = monomial_rank(E[_faces(w, k)].sum(1))
         if k * N <= A and dim_graded(n, k * N) <= faces:
             bits = _divides(n, A, k * N)[:, at]
             fits.append(np.unpackbits(bits, axis=0, count=len(alphas)).view(bool))
             continue
-        _, first, at = np.unique(at, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(at, return_index=True, return_inverse=True)
         fit = np.ones((len(alphas), len(first)), dtype=bool)
-        for i, x in enumerate(sums[first].T):
+        for i, x in enumerate(E[_faces(w, k)[first]].sum(1).T):
             fit &= x <= alphas[:, i, None]
-        fits.append(fit[:, at])
+        fits.append(fit[:, inverse])
     return fits
 
 
@@ -350,8 +366,12 @@ def _strand_nonzeros(fits: list[np.ndarray], t: int) -> tuple[np.ndarray, ...]:
 def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
     """Sum over the rows alpha of `fits` (the face fits for k = 0..t) of the
     rank of the boundary on the t-faces of Delta_alpha, by the forest and
-    peeling identities of the module docstring; only what peeling leaves is
-    eliminated, one strand at a time."""
+    peeling identities of the module docstring.  What peeling leaves is
+    block diagonal, one block per strand, and its rank is the sum of the
+    blocks' ranks.  Consecutive blocks share a `rank_of_nonzeros` call
+    while their rows times their columns stay within C(w, t-1) x C(w, t),
+    so no call can scatter a dense core larger than one strand's boundary:
+    one call for a whole batch held far more memory above t = 3."""
     if t == 2:
         return int(_forest(fits[2], fits[1].shape[1]).sum())
     rows, cols, signs = _strand_nonzeros(fits, t)
@@ -359,8 +379,21 @@ def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
     if not core.any():
         return rank
     rows, cols, signs = rows[core], cols[core], signs[core]
+    w, height = fits[1].shape[1], _comb_count(fits[1].shape[1], t - 1)
     # the nonzeros come grouped by strand, and peeling keeps their order
-    cuts = np.flatnonzero(np.diff(rows // _comb_count(fits[1].shape[1], t - 1))) + 1
+    strand = rows // height
+    tall = np.bincount(np.unique(rows) // height, minlength=len(fits[t]))
+    wide = np.bincount(strand[np.unique(cols, return_index=True)[1]], minlength=len(fits[t]))
+    # consecutive blocks are ranked in one call while, scattered whole,
+    # they would be no larger than one strand's boundary: the most that
+    # ranking a strand alone could scatter
+    firsts, h, v = [], 0, 0
+    for i in np.flatnonzero(tall):
+        if h and (h + tall[i]) * (v + wide[i]) > height * _comb_count(w, t):
+            firsts.append(i)
+            h = v = 0
+        h, v = h + tall[i], v + wide[i]
+    cuts = np.searchsorted(strand, firsts)
     for r, c, g in zip(*(np.split(x, cuts) for x in (rows, cols, signs))):
         rank += rank_of_nonzeros(r, c, g, p)
     return rank

@@ -175,6 +175,9 @@ def test_prime_flag_and_env(monkeypatch):
           "--s", "0", "--codim", "-1"], 2),
     ({}, ["sweep", "--d", "2", "--abelian", "--prime", "4"], 2),
     ({"JACRING_PRIME": "abc"}, ["sweep", "--d", "2", "--abelian"], 2),
+    # every subcommand seeds a generator, even one that draws nothing
+    ({}, ["hodge-numbers", "--d", "2", "--N", "3", "--fermat", "--seed", "-1"], 2),
+    ({}, ["sweep", "--d", "2", "--abelian", "--seed", "-1"], 2),
 ])
 def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
     for key, value in env.items():
@@ -182,6 +185,8 @@ def test_rejected_input_exit_code(monkeypatch, capsys, env, argv, code):
     assert run_cli(argv) == (code, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--seed" in argv:
+        assert "--seed" in err, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -390,6 +390,23 @@ def test_few_generators_of_high_face_degree_fit_the_default_budget():
     assert rep.exact and rep.rank_in == rep.kernel_out == 47145, rep
 
 
+def test_a_budget_that_holds_the_face_fits_holds_the_cell(monkeypatch):
+    # the pure powers x_i^4 of n = 6 variables at a = 0, s = 3: alpha runs
+    # over the 20349 monomials of S^16, and the largest face fits are the
+    # 20 triangles; a product table S^12 x S^4 (6188 x 126) for the 15
+    # 4-faces would be larger, so the face sums are ranked without it
+    n, N, a, s = 6, 4, 0, 3
+    keep = np.flatnonzero(monomial_array(n, N).max(1) == N)
+    W = GradedSubspace.span_of_monomials(list(keep), n, P, N)
+    alphas = dim_graded(n, a + (s + 1) * N)
+    budget = max(alphas * math.comb(n, k) for k in range(s + 2))
+    monkeypatch.setenv("JACRING_CELL_BUDGET", str(budget))
+    assert middle_exactness(W, a, s).exact
+    monkeypatch.setenv("JACRING_CELL_BUDGET", str(budget - 1))
+    with pytest.raises(SizeBudgetError):
+        middle_exactness(W, a, s)
+
+
 @pytest.mark.parametrize("p", [P, P2, P_MAX])
 def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
     # the scattered strand nonzeros are the boundary on each strand's fitting
@@ -445,6 +462,58 @@ def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
         for t in range(2, len(fits)):
             eliminated += check(fits, w, t, f"p {p}, {name}")
     assert eliminated, f"seed {seed}, p {p}: no core was eliminated"
+
+
+def test_strand_blocks_are_ranked_together_within_one_strand_boundary(monkeypatch):
+    # the core a batch of strands leaves is block diagonal, one block per
+    # strand, so consecutive blocks may share a call; a call takes blocks
+    # while, scattered whole, they stay within one strand's boundary
+    # C(w, t-1) x C(w, t), and the next block would break that bound.
+    # Every rank is checked against the dense boundary of each strand
+    calls, shared = [], []
+    reduced_rank, rank = koszul._reduced_rank, koszul.rank_of_nonzeros
+    monkeypatch.setattr(koszul, "rank_of_nonzeros",
+                        lambda r, c, *args: calls.append((r, c)) or rank(r, c, *args))
+
+    def grouped(fits, t, p):
+        calls.clear()
+        out = reduced_rank(fits, t, p)
+        w = fits[1].shape[1]
+        height = koszul._comb_count(w, t - 1)
+        limit = height * koszul._comb_count(w, t)
+        size = [(np.unique(r).size, np.unique(c).size) for r, c in calls]
+        assert all(h * v <= limit for h, v in size), (t, w, size)
+        strands = [np.unique(r // height) for r, _ in calls]
+        # each call takes the next blocks in strand order
+        assert (np.diff(np.concatenate(strands or [[]])) > 0).all(), strands
+        # the first block of each call would not fit in the call before
+        for i in range(1, len(calls)):
+            first = calls[i][0] // height == strands[i][0]
+            h = size[i - 1][0] + np.unique(calls[i][0][first]).size
+            v = size[i - 1][1] + np.unique(calls[i][1][first]).size
+            assert h * v > limit, (t, w, i, size)
+        shared.extend(s.size > 1 for s in strands)
+        return out
+
+    monkeypatch.setattr(koszul, "_reduced_rank", grouped)
+    cases = [(n, N, keep, a, s2) for n, N, keep, a, s in _cone_cases(np.random.default_rng(41))
+             for s2 in sorted({s, 2})]
+    for n, N, c in GREEN_SYSTEMS:
+        W = sample_bpf_subsystem(n, N, c, P, np.random.default_rng(1000 * n + 10 * N + c),
+                                 style="monomial")
+        cases += [(n, N, list(W.pivots), a, s) for a in range(5) for s in range(3)]
+    for n, N, keep, a, s in cases:
+        W = GradedSubspace.span_of_monomials(keep, n, P, N)
+        fits = koszul._face_fits(monomial_array(n, N)[list(W.pivots)], a + (s + 1) * N, s + 1)
+        cones = koszul._cones(fits, W.dim)
+        reduced = {t: ~cones[t] & fits[t].any(1) for t in (s, s + 1)}
+        ranks = {t: int(koszul._cone_ranks(fits, t)[cones[t]].sum())
+                 + sum(rank_gfp(_boundary_matrix(W.dim, t)[:, fits[t][i]], P)
+                       for i in np.flatnonzero(reduced[t])) for t in reduced}
+        rep = middle_exactness(W, a, s)
+        got = (rep.rank_in, rep.shape_in[0] - rep.kernel_out)
+        assert got == (ranks[s + 1], ranks[s]), (n, N, keep, a, s)
+    assert any(shared), "no call ranks several strands"
 
 
 def test_forest_reads_only_the_fitting_edges():

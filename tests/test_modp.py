@@ -403,6 +403,57 @@ def test_round_stops_at_product_budget(p, monkeypatch):
     assert stops == [True]
 
 
+def _block_kinds(p, rng):
+    """(name, block) pairs, one for each way `_sparse_rank` can end."""
+    n = 30
+    U = np.diag(rng.integers(1, p, size=n)) + np.triu(
+        rng.integers(1, p, size=(n, n)) * (rng.random((n, n)) < 0.2), 1)
+    yield "peels empty", U[rng.permutation(n)][:, rng.permutation(n)]
+    yield "pivot rounds", _sparse_rows(rng, (100, 80), (2, 3), p)
+    yield "dense", rng.integers(1, p, size=(14, 17))
+    yield "dense, transposed", rng.integers(1, p, size=(23, 9))
+    yield "rank-deficient", matmul_gfp(rng.integers(0, p, size=(16, 4)),
+                                       rng.integers(0, p, size=(4, 13)), p)
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_block_diagonal_rank_is_the_sum_of_block_ranks(p, rounds, monkeypatch):
+    # the premise of ranking many strand cores in one call: the rank of a
+    # block-diagonal stack is the sum of its blocks' ranks, whichever way
+    # each block would end alone, with the nonzeros in any order
+    dense = []
+    echelon = modp._echelon
+    monkeypatch.setattr(modp, "_echelon",
+                        lambda A, q, reduced: dense.append(A.shape) or echelon(A, q, reduced))
+    rng = np.random.default_rng(33)
+    blocks = dict(_block_kinds(p, rng))
+    ranks = {}
+    for name, B in blocks.items():
+        rounds.clear()
+        dense.clear()
+        ranks[name] = len(_gauss_jordan(B.tolist(), p)[1])
+        at = np.nonzero(B)
+        assert rank_of_nonzeros(*at, B[at], p) == ranks[name], (name, p)
+        ends = {"peels empty": not dense and not rounds,
+                "pivot rounds": bool(rounds),
+                "dense": dense == [B.shape],
+                "dense, transposed": dense == [B.shape[::-1]],
+                "rank-deficient": ranks[name] < min(B.shape)}
+        assert ends[name], (name, p, rounds, dense)
+    assert not modp._peel(*np.nonzero(blocks["peels empty"]))[1].any()
+    for trial in range(30):
+        names = rng.choice(list(blocks), size=int(rng.integers(1, 7)))
+        stack = [blocks[name] if rng.random() < 0.5 else blocks[name].T for name in names]
+        height, width = np.cumsum([[0, 0]] + [B.shape for B in stack], axis=0).T
+        at = [np.nonzero(B) for B in stack]
+        rows = np.concatenate([r + h for (r, _), h in zip(at, height)])
+        cols = np.concatenate([c + w for (_, c), w in zip(at, width)])
+        vals = np.concatenate([B[r, c] for B, (r, c) in zip(stack, at)])
+        order = rng.permutation(rows.size)
+        got = rank_of_nonzeros(rows[order], cols[order], vals[order], p)
+        assert got == sum(ranks[name] for name in names), (trial, list(names), p)
+
+
 def _cyclic_band(n, offsets, p):
     rng = np.random.default_rng(31)
     M = np.zeros((n, n), dtype=np.int64)

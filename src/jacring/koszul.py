@@ -382,7 +382,8 @@ def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
     w, height = fits[1].shape[1], _comb_count(fits[1].shape[1], t - 1)
     # the nonzeros come grouped by strand, and peeling keeps their order
     strand = rows // height
-    tall = np.bincount(np.unique(rows) // height, minlength=len(fits[t]))
+    # np.unique without indices would import numpy.ma, a megabyte, mid-run
+    tall = np.bincount(np.flatnonzero(np.bincount(rows)) // height, minlength=len(fits[t]))
     wide = np.bincount(strand[np.unique(cols, return_index=True)[1]], minlength=len(fits[t]))
     # consecutive blocks are ranked in one call while, scattered whole,
     # they would be no larger than one strand's boundary: the most that

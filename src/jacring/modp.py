@@ -20,7 +20,11 @@ cost, each column keeps one proposal, and of two proposals where one's row
 meets the other's column the costlier (at equal cost, the later) goes.
 The pivots left form a diagonal block; they add their number to the rank,
 and the rest of the matrix becomes its Schur complement, formed from the
-nonzeros alone, with fill that cancels mod p dropped.  Peeling and rounds
+nonzeros alone, with fill that cancels mod p dropped.  Below p = 2**17 the
+pivots' inverses are read off a cached int32 table of every unit's
+inverse, else computed by Fermat's a**(p-2); the Markowitz costs and the
+pivot indices are sorted in the narrowest unsigned dtype that holds them,
+where numpy radix-sorts keys of 16 bits or fewer.  Peeling and rounds
 alternate until the core is dense (fewer than 20 cells per nonzero), a
 round would form more than cells / 20 products, or a round takes fewer
 than 1/16 of the pivots the core could hold; only then is the core
@@ -242,9 +246,45 @@ def _echelon(A: np.ndarray, p: int, reduced: bool) -> list[int]:
     return pivots
 
 
+# Below this modulus `_inverses` reads a table of every unit's inverse: at
+# most 512 KB of int32; at 65521, 256 KB built in about 1.2 ms (2-core
+# x86-64 VM)
+_TABLE_PRIMES = 2**17
+
+
+@lru_cache(maxsize=4)
+def _inverse_table(p: int) -> np.ndarray:
+    """int32 inverses mod p of 0 .. p-1 (0 at 0), by the recurrence
+    inv(i) = -(p // i) * inv(p % i).  On a run of i with one quotient k,
+    p % i = p - k*i lies below the run and steps down by k, so each run is
+    one strided gather; below sqrt(p) the runs are about one i long, and
+    a Python step is cheaper than numpy calls."""
+    m = math.isqrt(p)
+    small = [0, 1]
+    for i in range(2, m + 1):
+        small.append((p - p // i) * small[p % i] % p)
+    table = np.zeros(p, dtype=np.int32)
+    table[:m + 1] = small
+    i = m + 1
+    while i < p:
+        k = p // i
+        last = min(p // k, p - 1)
+        # p - k*last = p % last >= 1, so the slice stops at index 0 or above
+        x = table[p - k * i:p - k * last - 1:-k].astype(np.int64)
+        x *= p - k
+        x %= p
+        table[i:last + 1] = x
+        i = last + 1
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
 def _inverses(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverses of units a in [1, p), by Fermat's a**(p-2); each
-    product stays below p**2 < 2**53."""
+    """Elementwise inverses of units a in [1, p): read off the table of
+    every unit's inverse below _TABLE_PRIMES, else by Fermat's a**(p-2),
+    each product staying below p**2 < 2**53."""
+    if p < _TABLE_PRIMES:
+        return _inverse_table(p)[a]
     out = np.ones_like(a)
     e = p - 2
     while e:
@@ -253,6 +293,13 @@ def _inverses(a: np.ndarray, p: int) -> np.ndarray:
         a = a * a % p
         e >>= 1
     return out
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of nonnegative integer keys, sorted in the narrowest
+    unsigned dtype that holds them: a stable order is the same in any
+    dtype, and numpy radix-sorts keys of 16 bits or fewer."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
 
 
 # A core is sparse while it has at least this many cells per nonzero; a
@@ -279,7 +326,7 @@ def _pivot_round(r, c, v, shape, p, max_products):
     row_count = np.bincount(r, minlength=shape[0])
     col_count = np.bincount(c, minlength=shape[1])
     cost = (row_count[r] - 1) * (col_count[c] - 1)
-    order = np.argsort(cost, kind="stable")
+    order = _stable_argsort(cost)
     # the first nonzero of each row, then of each column, in priority order
     cand = order[_first_of_each(r[order], shape[0])]
     cand = cand[_first_of_each(c[cand], shape[1])]
@@ -301,7 +348,7 @@ def _pivot_round(r, c, v, shape, p, max_products):
     a, b = at_row[r], at_col[c]
     # the nonzeros of the pivot rows outside the pivot columns, by pivot
     across = np.flatnonzero((a >= 0) & (b < 0))
-    across = across[np.argsort(a[across], kind="stable")]
+    across = across[_stable_argsort(a[across])]
     counts = np.bincount(a[across], minlength=piv.size)
     starts = np.cumsum(counts) - counts
     # each nonzero below a pivot, times the pivot's inverse, meets its row
@@ -317,7 +364,9 @@ def _pivot_round(r, c, v, shape, p, max_products):
     vals = np.concatenate((v[rest], p - factors[src] * v[at] % p))
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
-    head = np.flatnonzero(np.diff(keys, prepend=-1))
+    head = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    head = np.flatnonzero(head)
     vals = np.add.reduceat(vals, head) % p
     nonzero = vals != 0  # fill that cancels mod p
     keys, vals = keys[head][nonzero], vals[nonzero]
@@ -405,13 +454,12 @@ def rref_gfp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return E, pivots
 
 
-def kernel_of_rref(R: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF and pivot columns of the right kernel {x : R x = 0} of a matrix
-    R in RREF with pivot columns `pivots`.
-
-    For each free column f, the vector e_f - sum_i R[i, f] e_(pivots[i])
-    lies in the kernel; these are independent, one per free column, so
-    they span it."""
+def _kernel_rows(R: np.ndarray, pivots, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """A basis of the right kernel {x : R x = 0} of a matrix R in RREF with
+    pivot columns `pivots`, and the free columns it is indexed by: for
+    each free column f, in increasing order, the vector
+    e_f - sum_i R[i, f] e_(pivots[i]).  These lie in the kernel and are
+    independent, one per free column, so they span it."""
     pivots = list(pivots)
     free = np.ones(R.shape[1], dtype=bool)
     free[pivots] = False
@@ -419,7 +467,13 @@ def kernel_of_rref(R: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]
     V = np.zeros((free.size, R.shape[1]), dtype=np.int64)
     V[np.arange(free.size), free] = 1
     V[:, pivots] = (p - R[:, free].T) % p
-    return rref_gfp(V, p)
+    return V, free
+
+
+def kernel_of_rref(R: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF and pivot columns of the right kernel {x : R x = 0} of a matrix
+    R in RREF with pivot columns `pivots`: the RREF of `_kernel_rows`."""
+    return rref_gfp(_kernel_rows(R, pivots, p)[0], p)
 
 
 def _chunked_matmul(Af: np.ndarray, Bf: np.ndarray, p: int, top: int) -> np.ndarray:

@@ -19,7 +19,9 @@ Schur complement on the monomials that block misses has full rank
 only for a span that falls short; `bpf_check` never does.  The
 annihilator of a subspace is the kernel of its RREF basis, read off it by
 `kernel_of_rref`, and the colon [K : S^1] is a kernel too: that of the
-annihilator of K moved along each x_i, read off the RREF of those rows."""
+annihilator of K moved along each x_i, read off the RREF of those rows
+taken with the columns reversed, so that the kernel vectors it gives are
+already in RREF."""
 
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modp import (
+    _kernel_rows,
     _runs,
     check_budget,
     kernel_of_rref,
@@ -347,9 +350,15 @@ def colon_by_linear_forms(K: GradedSubspace) -> GradedSubspace:
     N = annihilator(K)  # g*x_i in K  <=>  N @ (x_i g) = 0
     # x_i (monomial i of S^1) moves the coefficient of monomial q to T[q, i]
     T = product_index_table(n, K.degree - 1, 1)
-    R, pivots = rref_gfp(np.vstack([N[:, T[:, i]] for i in range(n)]), p)
-    basis, pivots = kernel_of_rref(R, pivots, p)
-    return GradedSubspace(n, p, K.degree - 1, basis, tuple(pivots))
+    M = np.vstack([N[:, T[:, i]] for i in range(n)])
+    # read off the RREF of M with its columns reversed, each kernel vector,
+    # back in normal order, leads with its 1 at its free column and has its
+    # other nonzeros at pivot columns right of it: the vectors, last first,
+    # are the kernel's RREF, with no second elimination
+    R, pivots = rref_gfp(M[:, ::-1], p)
+    V, free = _kernel_rows(R, pivots, p)
+    pivots = (M.shape[1] - 1 - free[::-1]).tolist()
+    return GradedSubspace(n, p, K.degree - 1, V[::-1, ::-1].copy(), tuple(pivots))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +466,28 @@ def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
         for t in range(2, len(fits)):
             eliminated += check(fits, w, t, f"p {p}, {name}")
     assert eliminated, f"seed {seed}, p {p}: no core was eliminated"
+
+
+def test_strand_ranks_leave_numpy_ma_unimported():
+    # np.unique without indices imports numpy.ma on first use (numpy 2.4),
+    # a megabyte of resident memory: in a fresh interpreter, a green-monomial
+    # cell whose strand cores reach the block bookkeeping must not load it
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from jacring import koszul",
+        "W = koszul.sample_bpf_subsystem(3, 4, 0, 65521, np.random.default_rng(3040),",
+        "                                style='monomial')",
+        "before = 'numpy.ma' in sys.modules",
+        "koszul.middle_exactness(W, 1, 2)",
+        "print(before, 'numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(koszul.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["False", "False"], out
 
 
 def test_strand_blocks_are_ranked_together_within_one_strand_boundary(monkeypatch):

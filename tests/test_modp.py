@@ -497,6 +497,67 @@ def test_certificate_rank_stays_sparse():
     assert peak < 802 * 802 * 8 / 4, peak
 
 
+@pytest.mark.parametrize("seed, taken", [(0, [304, 108, 63, 27]),
+                                         (1, [153, 90, 86, 57, 39])])
+def test_certificate_rounds_take_the_same_pivots(seed, taken, rounds):
+    # the pivots each round takes on the certificates of the two quartic
+    # threefolds the benchmark certifies, as recorded before unit inverses
+    # came from a table and the Markowitz keys were sorted narrow: faster
+    # rounds must take the same pivots
+    random_smooth(3, 4, P, np.random.default_rng(seed))
+    assert rounds == taken
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_unit_inverses(p):
+    if p < modp._TABLE_PRIMES:
+        table = modp._inverse_table(p)
+        assert table.dtype == np.int32 and table.shape == (p,)
+        a = np.arange(1, p)
+    else:  # no table: Fermat's a**(p-2)
+        a = np.random.default_rng(34).integers(1, p, size=10_000)
+    assert (a * modp._inverses(a, p) % p == 1).all()
+
+
+def test_narrow_stable_argsort_matches_int64():
+    # keys of 16 bits or fewer are radix-sorted narrow, wider ones are not;
+    # either way the order is the stable order of the int64 keys
+    rng = np.random.default_rng(35)
+    for top in (0, 255, 256, 65535, 65536, 2**40):
+        keys = rng.integers(0, top + 1, size=3000)
+        keys[rng.integers(0, keys.size, size=10)] = top
+        assert np.array_equal(modp._stable_argsort(keys), np.argsort(keys, kind="stable")), top
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_round_with_costs_beyond_16_bits(p, monkeypatch):
+    # an arrowhead whose two full rows and columns meet at nonzeros of
+    # Markowitz cost 319 * 319 > 2**16, so the round's keys are too wide
+    # to be radix-sorted, around a sparse diagonal band the round pivots on
+    rng = np.random.default_rng(36)
+    n = 320
+    M = np.zeros((n, n), dtype=np.int64)
+    M[np.arange(n), np.arange(n)] = rng.integers(1, p, size=n)
+    M[np.arange(n), (np.arange(n) + 7) % n] = rng.integers(1, p, size=n)
+    M[:2] = rng.integers(1, p, size=(2, n))
+    M[:, :2] = rng.integers(1, p, size=(n, 2))
+    M[-1] = 5 * M[-3] % p  # rank n - 1
+    widest = []
+    pivot_round = modp._pivot_round
+
+    def spied(r, c, v, shape, *rest):
+        cost = (np.bincount(r)[r] - 1) * (np.bincount(c)[c] - 1)
+        widest.append(int(cost.max()))
+        return pivot_round(r, c, v, shape, *rest)
+
+    monkeypatch.setattr(modp, "_pivot_round", spied)
+    at = np.nonzero(M)
+    rank = len(modp._echelon(M.copy(), p, reduced=False))
+    assert rank == n - 1
+    assert rank_of_nonzeros(*at, M[at], p) == rank_gfp(M, p) == rank
+    assert widest and widest[0] >= 2**16, widest
+
+
 def _id_cases():
     rng = np.random.default_rng(30)
     yield "all equal", np.full(50, 7)

@@ -459,6 +459,34 @@ def test_colon_matches_brute_force_kernel(p):
         assert C.dim == len(gs) - rank_gfp(maps, p), case
 
 
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_colon_is_the_rref_of_the_kernel_of_the_stacked_rows(p):
+    # the colon reads its RREF off one elimination of the stacked rows with
+    # the columns reversed; it must be, bit for bit, the RREF of the kernel
+    # vectors read off their elimination in normal order
+    from jacring.yukawa import random_hyperplane_over_jacobian
+
+    rng = np.random.default_rng(19)
+    cases = []
+    for n in range(2, 5):
+        for m in range(1, 5):
+            D = dim_graded(n, m)
+            cases += [GradedSubspace.zero(n, p, m), GradedSubspace.full(n, p, m)]
+            cases += [random_subspace(n, p, m, D - c, rng) for c in range(1, D)]
+    for seed in range(3):  # the chain's hyperplanes K containing J^4
+        ring = random_smooth(2, 4, p, np.random.default_rng(seed))
+        cases.append(random_hyperplane_over_jacobian(ring, np.random.default_rng(seed)))
+    for K in cases:
+        N, T = annihilator(K), product_index_table(K.n, K.degree - 1, 1)
+        R, pivots = rref_gfp(np.vstack([N[:, T[:, i]] for i in range(K.n)]), p)
+        basis, pivots = kernel_of_rref(R, pivots, p)
+        C = colon_by_linear_forms(K)
+        case = (p, K.n, K.degree, K.dim)
+        assert C.basis.dtype == basis.dtype and np.array_equal(C.basis, basis), case
+        assert C.pivots == tuple(pivots), case
+        assert all(type(c) is int for c in C.pivots), case
+
+
 def test_annihilator():
     rng = np.random.default_rng(16)
     A = random_subspace(3, P, 2, 2, rng)

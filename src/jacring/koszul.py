@@ -37,16 +37,30 @@ Two evaluation paths compute the same defect:
   matchings of discrete Morse theory, Forman 1998).  The cone filter is
   the matching that empties a strand.  Each strand is assembled sparsely,
   from the nonzeros of `_simplex_boundary` on its fitting t-faces.
+  - t >= 3, through an apex: take any vertex v.  The fitting (t-1)-faces
+    H | {v} are independent columns of d_(t-1), since each is the only
+    one of them with the facet H; as im d_t lies in ker d_(t-1), deleting
+    their rows keeps the rank of d_t.  Each fitting t-face G | {v} is then
+    left with one nonzero, at G, and is matched to that row.  So rank d_t
+    is the number of fitting t-faces through v, counted and never
+    assembled, plus the rank of the rest: the fitting t-faces without v,
+    on the rows G without v for which G | {v} does not fit.  This serves
+    the strands with a cone point v through faces of size t-2 but none
+    through faces of size t-1.  The rows through v are then a full column
+    basis of d_(t-1) (at t = 3, the edges of a spanning star), and the
+    rest is small.
   - t = 2: d_2 is the signed incidence matrix of the graph of fitting
     vertices and edges, so its rank is f_1 minus the number of components,
     the number of edges in a spanning forest.
-  - t = 3, forest rows: im d_3 lies in ker d_2, and a 1-cycle supported on
-    a forest is zero, so no nonzero element of im d_3 vanishes outside a
-    spanning forest's edges.  Deleting those rows of d_3 keeps its rank.
+  - t = 3, forest rows, for the strands with no cone point through
+    vertices: im d_3 lies in ker d_2, and a 1-cycle supported on a forest
+    is zero, so no nonzero element of im d_3 vanishes outside a spanning
+    forest's edges.  Deleting those rows of d_3 keeps its rank.  At s = 2
+    one forest per strand serves both its t = 2 rank and these rows.
   - singleton peeling, as every `modp.rank_gfp` applies it: the nonzero
     of a row or column with one nonzero adds 1 to the rank, and its row and
     column can be deleted.  Here it runs on a batch of strands at once.
-    Once the forest rows are gone most triangles keep one edge, and
+    Once the forest or apex rows are gone most t-faces keep one facet, and
     peeling usually empties the strand.  It cannot empty the triangles
     of an acyclic 2-complex that is not collapsible, such as the dunce hat,
     since a full matching would be a discrete gradient with one critical
@@ -55,8 +69,8 @@ Two evaluation paths compute the same defect:
     Consecutive blocks are ranked in one call while, scattered whole, they
     are no larger than one strand's boundary, the most that ranking a
     strand alone could scatter.  At t = 3 a batch's core mostly takes one
-    or two calls; above t = 3 no rows are deleted yet, so a block is
-    nearly its whole strand and shares a call with few others.
+    or two calls; above t = 3 a strand with no apex loses no rows, so its
+    block is nearly its whole strand and shares a call with few others.
 
 Both paths take their signs from one simplex boundary, `_simplex_boundary`.
 """
@@ -277,16 +291,21 @@ def _by_vertex(w: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _cones(fits: list[np.ndarray], w: int) -> list[np.ndarray]:
-    """cones[t][alpha]: Delta_alpha has a cone point v through faces of size
-    t-1, i.e. T | {v} fits for every fitting face T of size < t without v.
+def _cones(fits: list[np.ndarray], w: int) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """(cones, apex).  cones[t][alpha]: Delta_alpha has a cone point v
+    through faces of size t-1, i.e. T | {v} fits for every fitting face T
+    of size < t without v.  apex[alpha], read where cones[2][alpha] holds:
+    the first cone point at the largest level t, 2 <= t < top =
+    len(fits) - 1, that has one, so a strand in cones[t-1] but not in
+    cones[t] has its apex through faces of size t-2.  apex is None when
+    top <= 2.
 
     The pairs (T, T | {v}) are the nonzeros (tgt, src, v) of the boundary.
     They are gathered for a block of vertices at a time, so that the two
     gathers together are no wider than fits[k+1]."""
     m = len(fits[0])
     ok = np.ones((m, w), dtype=bool)
-    cones = [ok.any(1)]
+    cones, apex = [ok.any(1)], None
     for k in range(len(fits) - 1):
         tgt, src = _by_vertex(w, k + 1)
         own = _comb_count(w - 1, k)  # the (k+1)-faces through a vertex
@@ -299,7 +318,10 @@ def _cones(fits: list[np.ndarray], w: int) -> list[np.ndarray]:
                 np.less(gap, fits[k][:, tgt[v * own:u * own]], out=gap)
                 ok[:, v:u] &= ~gap.reshape(m, u - v, own).any(2)
         cones.append(ok.any(1))
-    return cones
+        if 2 <= k + 1 < len(fits) - 1:
+            first = ok.argmax(1)
+            apex = first if apex is None else np.where(cones[-1], first, apex)
+    return cones, apex
 
 
 def _cone_ranks(fits: list[np.ndarray], t: int) -> np.ndarray:
@@ -345,46 +367,38 @@ def _forest(edge_fits: np.ndarray, w: int) -> np.ndarray:
     return forest
 
 
-def _strand_nonzeros(fits: list[np.ndarray], t: int) -> tuple[np.ndarray, ...]:
-    """(rows, cols, signs) of the boundaries on the t-faces of the strands
-    in the rows i of `fits`: the (t-1)-face f of strand i is row
-    i*C(w, t-1) + f, the fitting t-faces are the columns in order, and at
-    t = 3 the rows of a spanning forest are left out."""
-    w = fits[1].shape[1]
+def _strand_nonzeros(faces: np.ndarray, w: int, t: int,
+                     kept: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(rows, cols, signs) of the boundaries on the t-faces faces[i] of the
+    strands i: the (t-1)-face f of strand i is row i*C(w, t-1) + f, the
+    faces are the columns in order, and with `kept` only the rows f with
+    kept[i, f] are left in."""
     tgt, _, _, sign = _simplex_boundary(w, t)
-    strand, col = np.nonzero(fits[t])
+    strand, col = np.nonzero(faces)
     rows = tgt.reshape(-1, t)[col]
-    keep = np.ones(rows.shape, dtype=bool)
-    if t == 3:
-        keep = ~_forest(fits[2], w)[strand[:, None], rows]
+    keep = np.ones(rows.shape, dtype=bool) if kept is None else kept[strand[:, None], rows]
     rows += strand[:, None] * _comb_count(w, t - 1)
     cols = np.broadcast_to(np.arange(len(col))[:, None], rows.shape)
     signs = np.broadcast_to(sign[:t].astype(np.int8), rows.shape)
     return rows[keep], cols[keep], signs[keep]
 
 
-def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
-    """Sum over the rows alpha of `fits` (the face fits for k = 0..t) of the
-    rank of the boundary on the t-faces of Delta_alpha, by the forest and
-    peeling identities of the module docstring.  What peeling leaves is
-    block diagonal, one block per strand, and its rank is the sum of the
-    blocks' ranks.  Consecutive blocks share a `rank_of_nonzeros` call
-    while their rows times their columns stay within C(w, t-1) x C(w, t),
-    so no call can scatter a dense core larger than one strand's boundary:
-    one call for a whole batch held far more memory above t = 3."""
-    if t == 2:
-        return int(_forest(fits[2], fits[1].shape[1]).sum())
-    rows, cols, signs = _strand_nonzeros(fits, t)
-    rank, core = _peel(rows, cols)
-    if not core.any():
-        return rank
-    rows, cols, signs = rows[core], cols[core], signs[core]
-    w, height = fits[1].shape[1], _comb_count(fits[1].shape[1], t - 1)
+def _core_rank(rows: np.ndarray, cols: np.ndarray, signs: np.ndarray,
+               strands: int, w: int, t: int, p: int) -> int:
+    """Rank of what peeling left of the nonzeros of `_strand_nonzeros` on
+    `strands` strands.  It is block diagonal, one block per strand, and its
+    rank is the sum of the blocks' ranks.  Consecutive blocks share a
+    `rank_of_nonzeros` call while their rows times their columns stay
+    within C(w, t-1) x C(w, t), so no call can scatter a dense core larger
+    than one strand's boundary: one call for a whole batch held far more
+    memory above t = 3.  Callers peel first and pass the core alone, so
+    the full nonzeros are freed before any block is ranked."""
+    height = _comb_count(w, t - 1)
     # the nonzeros come grouped by strand, and peeling keeps their order
     strand = rows // height
     # np.unique without indices would import numpy.ma, a megabyte, mid-run
-    tall = np.bincount(np.flatnonzero(np.bincount(rows)) // height, minlength=len(fits[t]))
-    wide = np.bincount(strand[np.unique(cols, return_index=True)[1]], minlength=len(fits[t]))
+    tall = np.bincount(np.flatnonzero(np.bincount(rows)) // height, minlength=strands)
+    wide = np.bincount(strand[np.unique(cols, return_index=True)[1]], minlength=strands)
     # consecutive blocks are ranked in one call while, scattered whole,
     # they would be no larger than one strand's boundary: the most that
     # ranking a strand alone could scatter
@@ -395,14 +409,66 @@ def _reduced_rank(fits: list[np.ndarray], t: int, p: int) -> int:
             h = v = 0
         h, v = h + tall[i], v + wide[i]
     cuts = np.searchsorted(strand, firsts)
-    for r, c, g in zip(*(np.split(x, cuts) for x in (rows, cols, signs))):
-        rank += rank_of_nonzeros(r, c, g, p)
-    return rank
+    return sum(rank_of_nonzeros(r, c, g, p)
+               for r, c, g in zip(*(np.split(x, cuts) for x in (rows, cols, signs))))
+
+
+def _reduced_rank(fits: list[np.ndarray], t: int, p: int,
+                  forest: np.ndarray | None = None) -> int:
+    """Sum over the rows alpha of `fits` (the face fits for k = 0..t) of the
+    rank of the boundary on the t-faces of Delta_alpha, by the forest and
+    peeling identities of the module docstring.  At t = 2 and 3 `forest`
+    is `_forest(fits[2], w)`, found here if not passed."""
+    w = fits[1].shape[1]
+    if forest is None and t in (2, 3):
+        forest = _forest(fits[2], w)
+    if t == 2:
+        return int(forest.sum())
+    rows, cols, signs = _strand_nonzeros(fits[t], w, t, ~forest if t == 3 else None)
+    rank, core = _peel(rows, cols)
+    if not core.any():
+        return rank
+    rows, cols, signs = rows[core], cols[core], signs[core]
+    return rank + _core_rank(rows, cols, signs, len(fits[t]), w, t, p)
+
+
+def _coned_rank(fits: list[np.ndarray], apex: np.ndarray, t: int, p: int) -> int:
+    """Sum over the rows alpha of `fits` (the face fits for k = 0..t, t >= 3)
+    of the rank of the boundary on the t-faces of Delta_alpha, by the apex
+    matching of the module docstring with v = apex[alpha]: the number of
+    fitting t-faces through v, which are counted and never assembled, plus
+    the rank of the rest, whose columns are the fitting t-faces without v
+    and whose rows are the (t-1)-faces G without v such that G | {v} does
+    not fit.  Exact for any choice of v; a cone point through faces of size
+    t-2 leaves the rest small."""
+    w, m = fits[1].shape[1], len(apex)
+    tgt, src = _by_vertex(w, t)
+    own = _comb_count(w - 1, t - 1)  # the t-faces through a vertex
+    strand = np.arange(m)[:, None]
+    # the t-faces G | {v} through each apex, and their facets G without it
+    at = apex[:, None] * own + np.arange(own)
+    through = src[at]
+    fit = fits[t][strand, through]
+    gaps = np.zeros((m, _comb_count(w, t - 1)), dtype=bool)
+    gaps[strand, tgt[at]] = ~fit
+    faces = fits[t].copy()
+    faces[strand, through] = False
+    rows, cols, signs = _strand_nonzeros(faces, w, t, gaps)
+    rank, core = _peel(rows, cols)
+    rank += int(fit.sum())
+    if not core.any():
+        return rank
+    rows, cols, signs = rows[core], cols[core], signs[core]
+    return rank + _core_rank(rows, cols, signs, m, w, t, p)
 
 
 # strands reduced together: enough to amortize the numpy calls, few enough
 # that their sparse arrays stay smaller than the face-fit arrays
 _STRAND_BATCH = 64
+
+
+def _batches(strands: np.ndarray):
+    return (strands[i:i + _STRAND_BATCH] for i in range(0, len(strands), _STRAND_BATCH))
 
 
 def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulReport:
@@ -412,16 +478,36 @@ def _middle_exactness_monomial(W: GradedSubspace, a: int, s: int) -> KoszulRepor
     w = W.dim
     E = monomial_array(n, N)[list(W.pivots)]
     fits = _face_fits(E, a + (s + 1) * N, s + 1)
-    cones = _cones(fits, w)
+    cones, apex = _cones(fits, w)
+    # at s = 2 the t = 2 ranks and the t = 3 forest rows read one spanning
+    # forest per strand with no cone point through vertices
+    forest = None
+    if s == 2:
+        forest = np.zeros_like(fits[2])
+        for b in _batches(np.flatnonzero(~cones[2] & fits[2].any(1))):
+            forest[b] = _forest(fits[2][b], w)
 
     def strand_ranks(t: int) -> int:
         """Sum over alpha of the rank of the boundary on the t-faces of
-        Delta_alpha: counted for the cones, reduced for the others."""
-        derived = int(_cone_ranks(fits, t)[cones[t]].sum())
-        rest = np.flatnonzero(~cones[t] & fits[t].any(1))
-        return derived + sum(
-            _reduced_rank([f[rest[i:i + _STRAND_BATCH]] for f in fits[:t + 1]], t, p)
-            for i in range(0, len(rest), _STRAND_BATCH))
+        Delta_alpha: counted for the cones, matched through the apex for
+        the strands coned one level down, reduced for the others."""
+        rank = int(_cone_ranks(fits, t)[cones[t]].sum())
+        if t == 2 and forest is not None:
+            return rank + int(forest.sum())  # the forested strands are the rest
+        for b in _batches(np.flatnonzero(~cones[t] & fits[t].any(1))):
+            # the two parts of a batch are ranked apart, so no reduction
+            # takes more strands than one batch of the rest: batching the
+            # strands with no apex on their own raised the peak RSS of an
+            # s = 3 scan by 7 MB
+            coned = cones[t - 1][b] if t >= 3 else np.zeros(len(b), dtype=bool)
+            if coned.any():
+                c = b[coned]
+                rank += _coned_rank([f[c] for f in fits[:t + 1]], apex[c], t, p)
+            if not coned.all():
+                b = b[~coned]
+                rank += _reduced_rank([f[b] for f in fits[:t + 1]], t, p,
+                                      None if forest is None else forest[b])
+        return rank
 
     dim_mid = dim_graded(n, a + N) * _comb_count(w, s)
     shape_in = (dim_mid, dim_graded(n, a) * _comb_count(w, s + 1))

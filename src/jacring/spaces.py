@@ -19,7 +19,8 @@ Schur complement on the monomials that block misses has full rank
 only for a span that falls short; `bpf_check` never does.  The
 annihilator of a subspace is the kernel of its RREF basis, read off it by
 `kernel_of_rref`, and the colon [K : S^1] is a kernel too: that of the
-annihilator of K moved along each x_i, read off the RREF of those rows
+annihilator's kernel vectors, unreduced, moved along each x_i, read off
+the RREF of those rows
 taken with the columns reversed, so that the kernel vectors it gives are
 already in RREF."""
 
@@ -347,7 +348,10 @@ def colon_by_linear_forms(K: GradedSubspace) -> GradedSubspace:
     if K.degree < 1:
         raise ValueError("colon needs degree >= 1")
     n, p = K.n, K.p
-    N = annihilator(K)  # g*x_i in K  <=>  N @ (x_i g) = 0
+    # g*x_i in K  <=>  N @ (x_i g) = 0, for rows N spanning the annihilator
+    # of K; the RREF below depends on their row space alone, so they need
+    # not be in RREF themselves
+    N = _kernel_rows(K.basis, K.pivots, p)[0]
     # x_i (monomial i of S^1) moves the coefficient of monomial q to T[q, i]
     T = product_index_table(n, K.degree - 1, 1)
     M = np.vstack([N[:, T[:, i]] for i in range(n)])

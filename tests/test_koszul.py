@@ -229,7 +229,7 @@ def test_cone_ranks_match_elimination(p):
         W = GradedSubspace.span_of_monomials(keep, n, p, N)
         E = monomial_array(n, N)[list(W.pivots)]
         fits = koszul._face_fits(E, a + (s + 1) * N, s + 1)
-        cones = koszul._cones(fits, W.dim)
+        cones, _ = koszul._cones(fits, W.dim)
         for t in range(s + 2):
             B = _boundary_matrix(W.dim, t)
             derived = koszul._cone_ranks(fits, t)
@@ -287,7 +287,7 @@ def test_reduced_strand_ranks_match_elimination(monkeypatch, p):
         W = GradedSubspace.span_of_monomials(keep, n, p, N)
         E = monomial_array(n, N)[list(W.pivots)]
         fits = koszul._face_fits(E, a + (s + 1) * N, s + 1)
-        cones = koszul._cones(fits, W.dim)
+        cones, _ = koszul._cones(fits, W.dim)
         for t in range(2, s + 2):
             rest = ~cones[t] & fits[t].any(1)
             if rest.any():
@@ -367,7 +367,7 @@ def test_filters_match_per_variable_and_per_vertex_references(monkeypatch):
         for k, (got, expect) in enumerate(zip(fits, ref)):
             assert got.dtype == bool and got.shape == expect.shape, case + (k,)
             assert np.array_equal(got, expect), case + (k,)
-        for t, (got, expect) in enumerate(zip(koszul._cones(fits, w), _cones_by_vertex(ref, w))):
+        for t, (got, expect) in enumerate(zip(koszul._cones(fits, w)[0], _cones_by_vertex(ref, w))):
             assert got.shape == expect.shape and np.array_equal(got, expect), case + (t,)
         edges["past w"] += s + 1 > w
         edges["no alpha"] += A < 0
@@ -421,7 +421,8 @@ def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
                         lambda r, c, v, q: cores.append((r, c, v)) or rank_of_nonzeros(r, c, v, q))
 
     def check(fits, w, t, case):
-        rows, cols, signs = koszul._strand_nonzeros(fits, t)
+        kept = ~koszul._forest(fits[2], w) if t == 3 else None
+        rows, cols, signs = koszul._strand_nonzeros(fits[t], w, t, kept)
         height, strands = koszul._comb_count(w, t - 1), len(fits[t])
         D = np.zeros((strands * height, int(fits[t].sum())), dtype=np.int8)
         D[rows, cols] = signs
@@ -455,7 +456,7 @@ def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
         W = GradedSubspace.span_of_monomials(keep, n, p, N)
         E = monomial_array(n, N)[list(W.pivots)]
         fits = koszul._face_fits(E, a + (s + 1) * N, s + 1)
-        cones = koszul._cones(fits, W.dim)
+        cones, _ = koszul._cones(fits, W.dim)
         for t in range(2, s + 2):
             rest = ~cones[t] & fits[t].any(1)
             if rest.any():
@@ -466,6 +467,173 @@ def test_strand_cores_carry_the_boundary_signs(monkeypatch, p):
         for t in range(2, len(fits)):
             eliminated += check(fits, w, t, f"p {p}, {name}")
     assert eliminated, f"seed {seed}, p {p}: no core was eliminated"
+
+
+def _apex_cases():
+    """(n, N, keep, a, s): the filter cases (the cone cases, the 105
+    green-monomial cells and the edge cases), then systems at s = 4 whose
+    strands are coned one level down at t = 4 and t = 5."""
+    yield from _filter_cases()
+    yield 4, 2, [0, 2, 3, 5, 7, 8, 9], 0, 4
+    yield 4, 2, list(range(10)), 0, 4
+    yield 3, 3, [0, 2, 4, 5, 6, 8, 9], 1, 4
+
+
+def _is_cone_point(fit, v, w, size):
+    """T | {v} fits for every fitting face T without v of size <= size, for
+    the face fits `fit` of one strand."""
+    for k in range(size + 1):
+        tgt, src, j, _ = koszul._simplex_boundary(w, k + 1)
+        at = j == v
+        if (fit[k][tgt[at]] & ~fit[k + 1][src[at]]).any():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_coned_ranks_match_elimination(p):
+    # a t-strand with a cone point through faces of size t-2 but none
+    # through faces of size t-1 is matched through that point, its apex:
+    # the fitting t-faces through it, plus the rank of what is left.  The
+    # identity holds for any vertex, so the strands with no such point try
+    # their first fitting vertex, and the complexes every vertex
+    coned = {3: 0, 4: 0, 5: 0}
+
+    def check(fits, apex, w, t, case):
+        """Each strand alone, then all of them at once, against the dense
+        boundary restricted to the fitting t-faces."""
+        B = _boundary_matrix(w, t)
+        dense = [rank_gfp(B[:, fit], p) for fit in fits[t]]
+        for i, expect in enumerate(dense):
+            got = koszul._coned_rank([f[[i]] for f in fits[:t + 1]], apex[[i]], t, p)
+            assert got == expect, f"{case}, t {t}, strand {i}, apex {apex[i]}: {got} != {expect}"
+        got = koszul._coned_rank(fits[:t + 1], apex, t, p)
+        assert got == sum(dense), f"{case}, t {t}, all strands: {got} != {sum(dense)}"
+
+    for n, N, keep, a, s in _apex_cases():
+        W = GradedSubspace.span_of_monomials(keep, n, p, N)
+        w = W.dim
+        fits = koszul._face_fits(monomial_array(n, N)[list(W.pivots)], a + (s + 1) * N, s + 1)
+        cones, apex = koszul._cones(fits, w)
+        case = f"p {p}, n {n}, N {N}, keep {keep}, a {a}, s {s}"
+        for t in range(3, s + 2):
+            at = cones[t - 1] & ~cones[t] & fits[t].any(1)
+            for i in np.flatnonzero(at):
+                assert _is_cone_point([f[i] for f in fits], apex[i], w, t - 2), (case, t, i)
+            if at.any():
+                check([f[at] for f in fits], apex[at], w, t, case)
+                coned[t] += int(at.sum())
+            at = ~cones[t - 1] & fits[t].any(1)
+            if at.any():
+                check([f[at] for f in fits], fits[1][at].argmax(1), w, t, case + ", unconed")
+    for name, (w, facets) in COMPLEXES.items():
+        fits = _complex_fits(w, facets)
+        for t in range(3, len(fits)):
+            for v in range(w):
+                check(fits, np.array([v]), w, t, f"p {p}, {name}")
+    assert all(coned.values()), coned
+
+
+@pytest.mark.parametrize("p", [P, P2, P_MAX])
+def test_coned_dunce_hat_leaves_its_triangles_to_eliminate(monkeypatch, p):
+    # vertex 0 joined by edges to a dunce hat on vertices 1..8, with no
+    # triangle through 0: 0 is a cone point through vertices but not
+    # through edges.  No fitting triangle goes through it and no dunce-hat
+    # edge is matched, so what is left is the dunce hat's triangle
+    # boundary, signs included, which peeling cannot empty: 17 triangles,
+    # 51 nonzeros, rank 17 (the dunce hat is acyclic)
+    w, hat = COMPLEXES["dunce hat"]
+    w += 1
+    fits = _complex_fits(w, [(0, v) for v in range(1, w)] + [tuple(v + 1 for v in T) for T in hat])
+    cones, apex = koszul._cones(fits, w)
+    assert cones[2][0] and not cones[3][0] and apex[0] == 0
+    cores = []
+    monkeypatch.setattr(koszul, "rank_of_nonzeros",
+                        lambda r, c, v, q: cores.append((r, c, v)) or rank_of_nonzeros(r, c, v, q))
+    B = _boundary_matrix(w, 3)[:, fits[3][0]]
+    assert koszul._coned_rank(fits, apex, 3, p) == rank_gfp(B, p) == 17
+    assert len(cores) == 1, cores
+    rows, cols, signs = cores[0]
+    assert len(signs) == 51 and np.array_equal(B[rows, cols], signs)
+    assert np.count_nonzero(B[np.unique(rows)]) == 51
+
+
+def test_monomial_path_matches_generic_through_the_apex(monkeypatch):
+    # 210 random monomial systems with s from 2 to 4, a third at each of
+    # P, P2 and P_MAX, against the dense generic path; the apex matching
+    # must serve t = 3, 4 and 5
+    ts = set()
+    coned_rank = koszul._coned_rank
+    monkeypatch.setattr(koszul, "_coned_rank",
+                        lambda fits, apex, t, p: ts.add(t) or coned_rank(fits, apex, t, p))
+    rng = np.random.default_rng(44)
+    for i in range(210):
+        p = (P, P2, P_MAX)[i % 3]
+        n = int(rng.integers(2, 5))
+        N = 2 if n == 4 else int(rng.integers(2, 4))
+        D = dim_graded(n, N)
+        keep = sorted(int(k) for k in
+                      rng.choice(D, size=int(rng.integers(3, min(D, 8) + 1)), replace=False))
+        a, s = int(rng.integers(-1, 4 if n < 4 else 2)), int(rng.integers(2, 5))
+        W = GradedSubspace.span_of_monomials(keep, n, p, N)
+        fast = middle_exactness(W, a, s)
+        slow = report_from_slice(koszul_slice(W, a, s))
+        case = (n, N, keep, a, s, p)
+        assert (fast.rank_in, fast.kernel_out, fast.defect) == \
+               (slow.rank_in, slow.kernel_out, slow.defect), case
+    assert ts == {3, 4, 5}, ts
+
+
+def test_each_strand_is_forested_once_per_cell(monkeypatch):
+    # over the 105 green-monomial cells: a strand with no cone point through
+    # vertices gets one spanning forest, read for both its t = 2 rank and
+    # its t = 3 forest rows, and a strand with one gets none, since its
+    # triangles are matched through the apex
+    forested = []
+    forest = koszul._forest
+    monkeypatch.setattr(koszul, "_forest",
+                        lambda edge_fits, w: forested.append(edge_fits.copy()) or forest(edge_fits, w))
+    total = 0
+    for n, N, c in GREEN_SYSTEMS:
+        W = sample_bpf_subsystem(n, N, c, P, np.random.default_rng(1000 * n + 10 * N + c),
+                                 style="monomial")
+        for a in range(5):
+            for s in range(1, 3):
+                forested.clear()
+                middle_exactness(W, a, s)
+                fits = koszul._face_fits(monomial_array(n, N)[list(W.pivots)], a + (s + 1) * N, s + 1)
+                cones = _cones_by_vertex(fits, W.dim)
+                expect = fits[2][~cones[2] & fits[2].any(1)]
+                got = np.concatenate(forested or [expect[:0]])
+                case = (n, N, c, a, s)
+                assert sorted(r.tobytes() for r in got) == sorted(r.tobytes() for r in expect), case
+                total += len(got)
+    assert total == 1483, total
+
+
+def test_coned_rank_peaks_below_twice_the_largest_fits():
+    # the largest green-monomial cell, (n, N, codim) = (4, 3, 2), a = 4,
+    # s = 2: each part of a batch that the apex matches assembles only what
+    # is left of its triangles, so no part holds as much as two fits arrays
+    n, N, a, s = 4, 3, 4, 2
+    W = sample_bpf_subsystem(n, N, 2, P, np.random.default_rng(1000 * n + 10 * N + 2),
+                             style="monomial")
+    fits = koszul._face_fits(monomial_array(n, N)[list(W.pivots)], a + (s + 1) * N, s + 1)
+    cones, apex = koszul._cones(fits, W.dim)
+    parts = [b[cones[2][b]] for b in koszul._batches(np.flatnonzero(~cones[3] & fits[3].any(1)))]
+    parts = [([f[c] for f in fits], apex[c]) for c in parts if len(c)]
+    expect = [koszul._coned_rank(f, v, 3, P) for f, v in parts]  # fills the boundary caches
+    peaks = []
+    for (f, v), rank in zip(parts, expect):
+        tracemalloc.start()
+        try:
+            assert koszul._coned_rank(f, v, 3, P) == rank
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    largest = max(f.nbytes for f in fits)
+    assert largest == fits[-1].nbytes == 560 * 816 and len(peaks) >= 2
+    assert max(peaks) < 2 * largest, (peaks, largest)
 
 
 def test_strand_ranks_leave_numpy_ma_unimported():
@@ -494,16 +662,16 @@ def test_strand_blocks_are_ranked_together_within_one_strand_boundary(monkeypatc
     # the core a batch of strands leaves is block diagonal, one block per
     # strand, so consecutive blocks may share a call; a call takes blocks
     # while, scattered whole, they stay within one strand's boundary
-    # C(w, t-1) x C(w, t), and the next block would break that bound.
-    # Every rank is checked against the dense boundary of each strand
+    # C(w, t-1) x C(w, t), and the next block would break that bound.  This
+    # holds for the reduced strands and for the rest the apex leaves of the
+    # coned ones.  Every rank is checked against the dense boundary of each
+    # strand
     calls, shared = [], []
-    reduced_rank, rank = koszul._reduced_rank, koszul.rank_of_nonzeros
+    reduced_rank, coned_rank, rank = koszul._reduced_rank, koszul._coned_rank, koszul.rank_of_nonzeros
     monkeypatch.setattr(koszul, "rank_of_nonzeros",
                         lambda r, c, *args: calls.append((r, c)) or rank(r, c, *args))
 
-    def grouped(fits, t, p):
-        calls.clear()
-        out = reduced_rank(fits, t, p)
+    def check_calls(fits, t):
         w = fits[1].shape[1]
         height = koszul._comb_count(w, t - 1)
         limit = height * koszul._comb_count(w, t)
@@ -519,8 +687,22 @@ def test_strand_blocks_are_ranked_together_within_one_strand_boundary(monkeypatc
             v = size[i - 1][1] + np.unique(calls[i][1][first]).size
             assert h * v > limit, (t, w, i, size)
         shared.extend(s.size > 1 for s in strands)
+
+    def grouped(fits, t, p, forest=None):
+        calls.clear()
+        out = reduced_rank(fits, t, p, forest)
+        check_calls(fits, t)
         return out
 
+    def grouped_coned(fits, apex, t, p):
+        calls.clear()
+        out = coned_rank(fits, apex, t, p)
+        check_calls(fits, t)
+        coned_calls.append(len(calls))
+        return out
+
+    coned_calls = []
+    monkeypatch.setattr(koszul, "_coned_rank", grouped_coned)
     monkeypatch.setattr(koszul, "_reduced_rank", grouped)
     cases = [(n, N, keep, a, s2) for n, N, keep, a, s in _cone_cases(np.random.default_rng(41))
              for s2 in sorted({s, 2})]
@@ -531,7 +713,7 @@ def test_strand_blocks_are_ranked_together_within_one_strand_boundary(monkeypatc
     for n, N, keep, a, s in cases:
         W = GradedSubspace.span_of_monomials(keep, n, P, N)
         fits = koszul._face_fits(monomial_array(n, N)[list(W.pivots)], a + (s + 1) * N, s + 1)
-        cones = koszul._cones(fits, W.dim)
+        cones, _ = koszul._cones(fits, W.dim)
         reduced = {t: ~cones[t] & fits[t].any(1) for t in (s, s + 1)}
         ranks = {t: int(koszul._cone_ranks(fits, t)[cones[t]].sum())
                  + sum(rank_gfp(_boundary_matrix(W.dim, t)[:, fits[t][i]], P)
@@ -540,6 +722,7 @@ def test_strand_blocks_are_ranked_together_within_one_strand_boundary(monkeypatc
         got = (rep.rank_in, rep.shape_in[0] - rep.kernel_out)
         assert got == (ranks[s + 1], ranks[s]), (n, N, keep, a, s)
     assert any(shared), "no call ranks several strands"
+    assert any(coned_calls), "no coned strand left a core to rank"
 
 
 def test_forest_reads_only_the_fitting_edges():

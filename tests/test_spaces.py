@@ -487,6 +487,26 @@ def test_colon_is_the_rref_of_the_kernel_of_the_stacked_rows(p):
         assert all(type(c) is int for c in C.pivots), case
 
 
+def test_colon_takes_one_rref(monkeypatch):
+    # the colon needs only the row space of the annihilator, so the kernel
+    # vectors of K's basis are moved along each x_i as they are: one
+    # elimination per colon, that of the stacked rows
+    from jacring import modp
+
+    calls = []
+    for module in (modp, spaces):
+        monkeypatch.setattr(module, "rref_gfp", lambda M, p, rref=module.rref_gfp:
+                            calls.append(M.shape) or rref(M, p))
+    rng = np.random.default_rng(17)
+    for n, m in ((2, 3), (3, 2), (4, 4)):
+        for dim in (1, dim_graded(n, m) - 2):
+            K = random_subspace(n, P, m, dim, rng)
+            calls.clear()
+            C = colon_by_linear_forms(K)
+            assert len(calls) == 1, (n, m, dim, calls)
+            assert C.degree == m - 1, (n, m, dim)
+
+
 def test_annihilator():
     rng = np.random.default_rng(16)
     A = random_subspace(3, P, 2, 2, rng)
